@@ -2,8 +2,8 @@
 //!
 //! Each runner reproduces one experiment of the paper's evaluation section
 //! and returns plain data; the `src/bin/*` harnesses only format and print
-//! it. Keeping the logic here lets the Criterion benches and the integration
-//! tests reuse exactly the same code paths.
+//! it. Keeping the logic here lets the integration tests reuse exactly the
+//! same code paths.
 
 use std::time::{Duration, Instant};
 

@@ -16,9 +16,7 @@ use hebs_imaging::{GrayImage, Histogram, HistogramSignature, SIGNATURE_BINS};
 use crate::error::{HebsError, Result};
 use crate::fit::{fit_quantile_envelope, fit_upper_envelope, Polynomial};
 use crate::ghe::TargetRange;
-use crate::pipeline::{
-    evaluate_at_range_with_histogram, evaluate_range_from_histogram, PipelineConfig,
-};
+use crate::pipeline::{FitPlan, FitScratch, PipelineConfig};
 
 /// The quantile of the [`DistortionCharacteristic`]'s envelope fit: the
 /// curve covers 95% of the characterization samples, sitting between the
@@ -88,11 +86,14 @@ impl DistortionCharacteristic {
         I: IntoIterator<Item = (&'a str, &'a GrayImage)>,
     {
         let mut samples = Vec::new();
+        let mut scratch = FitScratch::default();
         for (name, image) in images {
             let histogram = Histogram::of(image);
+            let plan = FitPlan::new(config, &histogram)?;
             for &range in ranges {
                 let target = TargetRange::from_span(range)?;
-                let eval = evaluate_at_range_with_histogram(config, image, &histogram, target)?;
+                let eval = plan.evaluate_with_pixels(image, target, &mut scratch)?;
+                scratch.recycle_output(eval.displayed);
                 samples.push(CharacterizationSample {
                     image: name.to_string(),
                     dynamic_range: range,
@@ -129,9 +130,10 @@ impl DistortionCharacteristic {
     {
         let mut samples = Vec::new();
         for (index, histogram) in histograms.into_iter().enumerate() {
+            let plan = FitPlan::new(config, histogram)?;
             for &range in ranges {
                 let target = TargetRange::from_span(range)?;
-                let Some(eval) = evaluate_range_from_histogram(config, histogram, target)? else {
+                let Some(eval) = plan.evaluate(target)? else {
                     return Err(HebsError::HistogramIncapableMeasure {
                         measure: config.measure.name().to_string(),
                     });
@@ -870,6 +872,33 @@ mod tests {
             assert!((a.distortion - b.distortion).abs() <= 1e-12);
             assert!((a.power_saving - b.power_saving).abs() <= 1e-12);
         }
+    }
+
+    #[test]
+    fn characterization_solves_two_coarsenings_per_histogram() {
+        use crate::pipeline::dp_solves_during;
+        use hebs_quality::GlobalUiqiDistortion;
+        let config = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        let histograms: Vec<Histogram> =
+            tiny_suite().iter().map(|(_, i)| Histogram::of(i)).collect();
+        for ranges in [&[60u32, 240][..], &DEFAULT_RANGES] {
+            let (curve, solves) = dp_solves_during(|| {
+                DistortionCharacteristic::characterize_from_histograms(&config, &histograms, ranges)
+                    .unwrap()
+            });
+            assert_eq!(curve.samples().len(), histograms.len() * ranges.len());
+            assert_eq!(solves, 2 * 3, "independent of the {} ranges", ranges.len());
+        }
+        let suite = tiny_suite();
+        let (_, solves) = dp_solves_during(|| {
+            DistortionCharacteristic::characterize(
+                &PipelineConfig::default(),
+                suite.iter().map(|(n, i)| (n.as_str(), i)),
+                &DEFAULT_RANGES,
+            )
+            .unwrap()
+        });
+        assert_eq!(solves, 2 * 3);
     }
 
     #[test]

@@ -124,22 +124,7 @@ pub struct GheSolution {
 /// # Ok::<(), hebs_core::HebsError>(())
 /// ```
 pub fn equalize(histogram: &Histogram, target: TargetRange) -> Result<GheSolution> {
-    let n = histogram.total().max(1) as f64;
-    let cumulative = histogram.cumulative();
-    let lo = f64::from(target.g_min()) / 255.0;
-    let hi = f64::from(target.g_max()) / 255.0;
-    let span = hi - lo;
-
-    let mut points = Vec::with_capacity(256);
-    for level in 0..=255u16 {
-        let x = f64::from(level) / 255.0;
-        let h = cumulative.up_to(level as u8) as f64 / n;
-        let y = lo + span * h;
-        points.push(ControlPoint::new(x, y.clamp(0.0, 1.0)));
-    }
-    // Enforce the monotone, strictly-increasing-abscissa invariant; the
-    // ordinates from a CDF are non-decreasing by construction.
-    let transform = PiecewiseLinear::new(points)?;
+    let transform = ghe_curve(&normalized_cdf(histogram), target)?;
 
     // Residual objective of Eq. 4: compare the histogram of the transformed
     // levels with the ideal uniform target.
@@ -156,6 +141,36 @@ pub fn equalize(histogram: &Histogram, target: TargetRange) -> Result<GheSolutio
         target,
         equalization_error,
     })
+}
+
+/// The normalized cumulative histogram `H(x)/N` of every level (all zero
+/// for an empty histogram).
+pub(crate) fn normalized_cdf(histogram: &Histogram) -> [f64; 256] {
+    let n = histogram.total().max(1) as f64;
+    let cumulative = histogram.cumulative();
+    let mut cdf = [0.0f64; 256];
+    for (level, slot) in (0..=255u8).zip(cdf.iter_mut()) {
+        *slot = cumulative.up_to(level) as f64 / n;
+    }
+    cdf
+}
+
+/// The exact GHE transformation of Eq. 7 for a normalized CDF: level `x`
+/// maps to `g_min + (g_max − g_min) · H(x)/N`, one control point per level.
+pub(crate) fn ghe_curve(cdf: &[f64; 256], target: TargetRange) -> Result<PiecewiseLinear> {
+    let lo = f64::from(target.g_min()) / 255.0;
+    let hi = f64::from(target.g_max()) / 255.0;
+    let span = hi - lo;
+    let points = (0..=255u8)
+        .zip(cdf)
+        .map(|(level, &h)| {
+            let x = f64::from(level) / 255.0;
+            ControlPoint::new(x, (lo + span * h).clamp(0.0, 1.0))
+        })
+        .collect();
+    // Enforce the monotone, strictly-increasing-abscissa invariant; the
+    // ordinates from a CDF are non-decreasing by construction.
+    Ok(PiecewiseLinear::new(points)?)
 }
 
 /// Applies a GHE solution to an image, producing the range-compressed image

@@ -24,16 +24,36 @@
 //! single fused LUT pass. Windowed measures (the paper's HVS + SSIM
 //! default) fall back to the pixel path, which evaluates candidates into a
 //! caller-provided [`FitScratch`] instead of allocating per candidate.
+//!
+//! # One coarsening per histogram
+//!
+//! The piecewise-linear coarsening (Eq. 9) is the costliest step of a fit,
+//! and a closed-loop search or a characterization fits one histogram at
+//! many target ranges. By Eq. 7 every requested curve is affine in the
+//! target: blend weight `w` requests `g_min + span·shape(x)` with
+//! `shape(x) = (1 − w)·x + w·H(x)/N`, and the shape does not depend on
+//! the target. Scaling a curve's ordinates by `span` scales every chord
+//! error by `span²` (see the affine-invariance note in
+//! [`hebs_transform::plc`]), so the optimal kept indices are the same at
+//! every target range. A crate-private fit plan therefore solves the
+//! coarsening once per histogram and blend weight on the unit-span shape;
+//! fitting a target then takes that target's requested curve at the kept
+//! indices, programs the driver and fuses the response. Every entry point,
+//! single-target or not, fits through such a plan. Where floating-point
+//! rounding breaks an exact tie differently than a coarsening of the
+//! target's own curve would, the plan's alternative has the same error to
+//! rounding.
 
 use std::sync::Arc;
 
 use hebs_display::{plrd::HierarchicalPlrd, DisplayResponse, LcdSubsystem, PowerBreakdown};
 use hebs_imaging::{GrayImage, Histogram};
 use hebs_quality::SharedMeasure;
-use hebs_transform::{coarsen, ControlPoint, LookupTable, PiecewiseLinear};
+use hebs_transform::plc::optimal_kept_indices;
+use hebs_transform::{ControlPoint, LookupTable, PiecewiseLinear};
 
 use crate::error::Result;
-use crate::ghe::{equalize, TargetRange};
+use crate::ghe::{ghe_curve, normalized_cdf, TargetRange};
 
 /// The identity source → drive map, the baseline for power accounting.
 const IDENTITY_LEVELS: [u8; 256] = {
@@ -76,6 +96,14 @@ pub(crate) struct BlendCandidates {
 }
 
 impl BlendCandidates {
+    /// A single blend weight.
+    fn one(weight: f64) -> Self {
+        BlendCandidates {
+            values: [weight, 0.0, 0.0],
+            len: 1,
+        }
+    }
+
     /// The candidate weights as a slice.
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.values[..self.len]
@@ -133,10 +161,7 @@ impl PipelineConfig {
     /// Blend weights examined by the [`BlendMode::Adaptive`] policy.
     pub(crate) fn blend_candidates(&self) -> BlendCandidates {
         match self.blend {
-            BlendMode::Fixed(w) => BlendCandidates {
-                values: [w.clamp(0.0, 1.0), 0.0, 0.0],
-                len: 1,
-            },
+            BlendMode::Fixed(w) => BlendCandidates::one(w.clamp(0.0, 1.0)),
             BlendMode::Adaptive => BlendCandidates {
                 values: [0.0, 0.5, 1.0],
                 len: 3,
@@ -280,8 +305,8 @@ pub struct Evaluation {
     pub power_saving: f64,
     /// Number of target-range fit evaluations performed to produce this
     /// value (each solves the GHE and arbitrates the blend candidates
-    /// internally; a closed-loop bisection performs ~8, an open-loop
-    /// lookup exactly 1).
+    /// internally; a closed-loop search performs 9, one at the full range
+    /// plus 8 bisection steps, and an open-loop lookup exactly 1).
     pub fit_evaluations: u32,
 }
 
@@ -429,20 +454,7 @@ pub fn evaluate_at_range_scratch(
     target: TargetRange,
     scratch: &mut FitScratch,
 ) -> Result<RangeEvaluation> {
-    let (transform, distortion, evaluations) =
-        fit_range(config, histogram, target, Some((image, scratch)))?
-            .expect("the pixel fallback was supplied");
-    let (power, power_saving) = power_from_histogram(config, histogram, &transform)?;
-    let mut displayed = scratch.take_output();
-    transform.response.apply_into(image, &mut displayed);
-    Ok(RangeEvaluation {
-        displayed,
-        transform,
-        distortion,
-        power,
-        power_saving,
-        fit_evaluations: evaluations,
-    })
+    FitPlan::new(config, histogram)?.evaluate_with_pixels(image, target, scratch)
 }
 
 /// Evaluates the best blend candidate for one histogram and target range
@@ -462,18 +474,11 @@ pub fn evaluate_range_from_histogram(
     histogram: &Histogram,
     target: TargetRange,
 ) -> Result<Option<Evaluation>> {
-    let Some((transform, distortion, evaluations)) = fit_range(config, histogram, target, None)?
-    else {
+    // Decline before solving the plan's coarsenings.
+    if !measures_levels(config, histogram) {
         return Ok(None);
-    };
-    let (power, power_saving) = power_from_histogram(config, histogram, &transform)?;
-    Ok(Some(Evaluation {
-        transform,
-        distortion,
-        power,
-        power_saving,
-        fit_evaluations: evaluations,
-    }))
+    }
+    FitPlan::new(config, histogram)?.evaluate(target)
 }
 
 /// Evaluates one already-fitted transform against a histogram in the
@@ -507,66 +512,233 @@ pub fn evaluate_transform_from_histogram(
     }))
 }
 
-/// Fits every blend candidate for `(histogram, target)` and returns the
-/// winner `(transform, distortion, fit evaluations)`.
-///
-/// One call is **one fit evaluation** — the unit `fit_evaluations` counts
-/// throughout the stack: a full closed-loop range search performs ~8 of
-/// these (one per bisection step), the open-loop table lookup exactly one.
-/// The blend candidates a single call arbitrates internally are part of
-/// that one evaluation, not separate ones.
-///
-/// Distortion is measured in the histogram domain when the configured
-/// measure supports it; otherwise each candidate's displayed image is
-/// produced into the supplied scratch (one fused pass, no allocation) and
-/// measured in the pixel domain. Returns `Ok(None)` when the measure needs
-/// pixels but no pixel fallback was supplied.
-fn fit_range(
-    config: &PipelineConfig,
-    histogram: &Histogram,
-    target: TargetRange,
-    mut pixels: Option<(&GrayImage, &mut FitScratch)>,
-) -> Result<Option<(Arc<FrameTransform>, f64, u32)>> {
-    // Probe measure capability before paying for any candidate fit: a
-    // windowed measure with no pixel fallback declines immediately.
-    if pixels.is_none()
-        && config
-            .measure
-            .distortion_from_levels(histogram, &IDENTITY_LEVELS)
-            .is_none()
-    {
-        return Ok(None);
+#[cfg(test)]
+thread_local! {
+    /// Coarsening dynamic programs solved on this thread, for the tests
+    /// that pin how many a fit solves.
+    static DP_SOLVES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` and returns its result with the number of coarsening dynamic
+/// programs it solved on this thread.
+#[cfg(test)]
+pub(crate) fn dp_solves_during<R>(f: impl FnOnce() -> R) -> (R, u32) {
+    DP_SOLVES.with(|solves| solves.set(0));
+    let result = f();
+    (result, DP_SOLVES.with(std::cell::Cell::get))
+}
+
+/// The target-independent half of fitting one histogram: its normalized
+/// CDF and, per blend weight, the coarsening's kept indices (see the
+/// module docs). Built once per histogram; every fit of that histogram,
+/// at one target range or at many, goes through it.
+pub(crate) struct FitPlan<'a> {
+    config: &'a PipelineConfig,
+    histogram: &'a Histogram,
+    /// `H(x)/N` per level.
+    cdf: [f64; 256],
+    /// The blend weights fitted, in arbitration order.
+    weights: BlendCandidates,
+    /// Per weight, the kept indices of its requested curve's control
+    /// points; empty for `w = 0`, whose 2-point line needs no coarsening.
+    kept: [Vec<usize>; 3],
+}
+
+impl<'a> FitPlan<'a> {
+    /// A plan over the configured blend candidates.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from the coarsening.
+    pub(crate) fn new(config: &'a PipelineConfig, histogram: &'a Histogram) -> Result<Self> {
+        Self::with_weights(config, histogram, config.blend_candidates())
     }
-    // The GHE solve and the linear band curve depend only on the histogram
-    // and target, so hoist them out of the blend-candidate loop.
-    let ghe = equalize(histogram, target)?;
-    let linear = linear_compression(target);
-    let mut best: Option<(Arc<FrameTransform>, f64)> = None;
-    for &weight in config.blend_candidates().as_slice() {
-        let transform = fit_blended(config, &ghe.transform, &linear, target, weight)?;
-        let distortion = match config
-            .measure
-            .distortion_from_levels(histogram, transform.response.levels())
-        {
-            Some(distortion) => distortion,
-            None => match pixels.as_mut() {
-                Some((image, scratch)) => {
-                    transform.response.apply_into(image, &mut scratch.displayed);
-                    config.measure.distortion(image, &scratch.displayed)
-                }
-                None => return Ok(None),
-            },
-        };
-        let better = match &best {
-            None => true,
-            Some((_, current)) => distortion < *current,
-        };
-        if better {
-            best = Some((transform, distortion));
+
+    /// A plan over explicit blend weights: one coarsening per weight
+    /// above 0, solved on the unit-span shape `(1 − w)·x + w·H(x)/N`.
+    fn with_weights(
+        config: &'a PipelineConfig,
+        histogram: &'a Histogram,
+        weights: BlendCandidates,
+    ) -> Result<Self> {
+        let cdf = normalized_cdf(histogram);
+        let segments = config.segments.min(config.driver.max_segments()).max(1);
+        let mut kept: [Vec<usize>; 3] = Default::default();
+        for (slot, &weight) in kept.iter_mut().zip(weights.as_slice()) {
+            let w = weight.clamp(0.0, 1.0);
+            if w <= 0.0 {
+                continue;
+            }
+            let mut shape = [ControlPoint::default(); 256];
+            for ((level, &h), point) in (0..=255u8).zip(&cdf).zip(&mut shape) {
+                let x = f64::from(level) / 255.0;
+                *point = ControlPoint::new(x, (1.0 - w) * x + w * h);
+            }
+            *slot = optimal_kept_indices(&shape, segments)?.0;
+            #[cfg(test)]
+            DP_SOLVES.with(|solves| solves.set(solves.get() + 1));
         }
+        Ok(FitPlan {
+            config,
+            histogram,
+            cdf,
+            weights,
+            kept,
+        })
     }
-    let (transform, distortion) = best.expect("at least one blend candidate is always evaluated");
-    Ok(Some((transform, distortion, 1)))
+
+    /// Histogram-domain evaluation at `target`: the best blend candidate,
+    /// its distortion and power, no pixels. `None` for windowed measures.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors from the transformation and display
+    /// layers.
+    pub(crate) fn evaluate(&self, target: TargetRange) -> Result<Option<Evaluation>> {
+        let Some((transform, distortion, evaluations)) = self.fit(target, None)? else {
+            return Ok(None);
+        };
+        let (power, power_saving) = power_from_histogram(self.config, self.histogram, &transform)?;
+        Ok(Some(Evaluation {
+            transform,
+            distortion,
+            power,
+            power_saving,
+            fit_evaluations: evaluations,
+        }))
+    }
+
+    /// Evaluation at `target` through the pixel path when the measure needs
+    /// it, materializing the displayed frame into the scratch's output.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors from the transformation and display
+    /// layers.
+    pub(crate) fn evaluate_with_pixels(
+        &self,
+        image: &GrayImage,
+        target: TargetRange,
+        scratch: &mut FitScratch,
+    ) -> Result<RangeEvaluation> {
+        let (transform, distortion, evaluations) = self
+            .fit(target, Some((image, scratch)))?
+            .expect("the pixel fallback was supplied");
+        let (power, power_saving) = power_from_histogram(self.config, self.histogram, &transform)?;
+        let mut displayed = scratch.take_output();
+        transform.response.apply_into(image, &mut displayed);
+        Ok(RangeEvaluation {
+            displayed,
+            transform,
+            distortion,
+            power,
+            power_saving,
+            fit_evaluations: evaluations,
+        })
+    }
+
+    /// Fits every blend candidate at `target` and returns the winner
+    /// `(transform, distortion, fit evaluations)`.
+    ///
+    /// One call is **one fit evaluation**, the unit `fit_evaluations`
+    /// counts throughout the stack: a full closed-loop range search
+    /// performs 9 of these (the full range plus 8 bisection steps), the
+    /// open-loop table lookup exactly one. The blend candidates a single
+    /// call arbitrates internally are part of that one evaluation, not
+    /// separate ones.
+    ///
+    /// Distortion is measured in the histogram domain when the configured
+    /// measure supports it; otherwise each candidate's displayed image is
+    /// produced into the supplied scratch (one fused pass, no allocation)
+    /// and measured in the pixel domain. Returns `Ok(None)` when the
+    /// measure needs pixels but no pixel fallback was supplied.
+    fn fit(
+        &self,
+        target: TargetRange,
+        mut pixels: Option<(&GrayImage, &mut FitScratch)>,
+    ) -> Result<Option<(Arc<FrameTransform>, f64, u32)>> {
+        let (config, histogram) = (self.config, self.histogram);
+        // Probe measure capability before paying for any candidate fit: a
+        // windowed measure with no pixel fallback declines immediately.
+        if pixels.is_none() && !measures_levels(config, histogram) {
+            return Ok(None);
+        }
+        let curves = self.target_curves(target)?;
+        let mut best: Option<(Arc<FrameTransform>, f64)> = None;
+        for index in 0..self.weights.as_slice().len() {
+            let transform = self.fit_candidate(target, &curves, index)?;
+            let distortion = match config
+                .measure
+                .distortion_from_levels(histogram, transform.response.levels())
+            {
+                Some(distortion) => distortion,
+                None => match pixels.as_mut() {
+                    Some((image, scratch)) => {
+                        transform.response.apply_into(image, &mut scratch.displayed);
+                        config.measure.distortion(image, &scratch.displayed)
+                    }
+                    None => return Ok(None),
+                },
+            };
+            let better = match &best {
+                None => true,
+                Some((_, current)) => distortion < *current,
+            };
+            if better {
+                best = Some((transform, distortion));
+            }
+        }
+        let (transform, distortion) =
+            best.expect("at least one blend candidate is always evaluated");
+        Ok(Some((transform, distortion, 1)))
+    }
+
+    /// The two curves every candidate at `target` blends: the exact GHE
+    /// curve (Eq. 7, without `equalize`'s Eq. 4 residual) and the linear
+    /// compression onto the band.
+    fn target_curves(&self, target: TargetRange) -> Result<(PiecewiseLinear, PiecewiseLinear)> {
+        Ok((ghe_curve(&self.cdf, target)?, linear_compression(target)))
+    }
+
+    /// Fits candidate `index` at `target`: its requested curve taken at
+    /// the plan's kept indices, the driver programmed with it, and the
+    /// display response fused.
+    fn fit_candidate(
+        &self,
+        target: TargetRange,
+        (ghe, linear): &(PiecewiseLinear, PiecewiseLinear),
+        index: usize,
+    ) -> Result<Arc<FrameTransform>> {
+        let blend_weight = self.weights.as_slice()[index];
+        let beta = target.backlight_factor();
+        let requested = blend_curves(linear, ghe, blend_weight)?;
+        let kept = &self.kept[index];
+        let curve = if kept.is_empty() {
+            requested
+        } else {
+            let points = requested.points();
+            PiecewiseLinear::new(kept.iter().map(|&i| points[i]).collect())?
+        };
+        let programmed = self.config.driver.program(&curve, beta)?;
+        let response = self.config.subsystem.response(&programmed.lut, beta)?;
+        Ok(Arc::new(FrameTransform {
+            target,
+            beta,
+            blend_weight,
+            curve,
+            lut: programmed.lut,
+            response,
+        }))
+    }
+}
+
+/// Whether the configured measure evaluates this histogram in the level
+/// domain (probed on the identity levels).
+fn measures_levels(config: &PipelineConfig, histogram: &Histogram) -> bool {
+    config
+        .measure
+        .distortion_from_levels(histogram, &IDENTITY_LEVELS)
+        .is_some()
 }
 
 /// Histogram-domain power accounting for one fitted transform: the scaled
@@ -586,31 +758,6 @@ fn power_from_histogram(
         .power_from_histogram(histogram, &IDENTITY_LEVELS, 1.0)?;
     let saving = (1.0 - power.total() / baseline.total()).max(0.0);
     Ok((power, saving))
-}
-
-/// Blends an already-solved GHE curve with the linear compression and fits
-/// the result into the driver (coarsening + programming + response fusion).
-fn fit_blended(
-    config: &PipelineConfig,
-    ghe: &PiecewiseLinear,
-    linear: &PiecewiseLinear,
-    target: TargetRange,
-    blend_weight: f64,
-) -> Result<Arc<FrameTransform>> {
-    let beta = target.backlight_factor();
-    let requested = blend_curves(linear, ghe, blend_weight)?;
-    let segments = config.segments.min(config.driver.max_segments()).max(1);
-    let coarse = coarsen(&requested, segments)?;
-    let programmed = config.driver.program(&coarse.curve, beta)?;
-    let response = config.subsystem.response(&programmed.lut, beta)?;
-    Ok(Arc::new(FrameTransform {
-        target,
-        beta,
-        blend_weight,
-        curve: coarse.curve,
-        lut: programmed.lut,
-        response,
-    }))
 }
 
 /// Fits the HEBS transformation for one histogram, target range and blend
@@ -634,9 +781,8 @@ pub fn fit_transform(
     target: TargetRange,
     blend_weight: f64,
 ) -> Result<Arc<FrameTransform>> {
-    let ghe = equalize(histogram, target)?;
-    let linear = linear_compression(target);
-    fit_blended(config, &ghe.transform, &linear, target, blend_weight)
+    let plan = FitPlan::with_weights(config, histogram, BlendCandidates::one(blend_weight))?;
+    plan.fit_candidate(target, &plan.target_curves(target)?, 0)
 }
 
 /// Applies an already-fitted transformation to a frame and measures what the
@@ -819,7 +965,7 @@ mod tests {
             );
             // The adaptive blend arbitrates its candidates *inside* one
             // evaluation: the counter ticks per target range, not per
-            // candidate, so open-loop (1) vs closed-loop (~8) comparisons
+            // candidate, so open-loop (1) vs closed-loop (9) comparisons
             // are blend-mode independent.
             assert_eq!(a.fit_evaluations, 1, "one range fitted, one evaluation");
         }
@@ -1005,6 +1151,86 @@ mod tests {
         assert_eq!(zero, linear);
         let one = blend_curves(&linear, &ghe_curve, 1.0).unwrap();
         assert_eq!(one, ghe_curve);
+    }
+
+    /// The DP objective of keeping `kept` on `points`, summed chord by
+    /// chord the slow way.
+    fn kept_error(points: &[ControlPoint], kept: &[usize]) -> f64 {
+        let mut error = 0.0;
+        for pair in kept.windows(2) {
+            let (a, b) = (points[pair[0]], points[pair[1]]);
+            for p in &points[pair[0] + 1..pair[1]] {
+                let chord = a.y + (p.x - a.x) / (b.x - a.x) * (b.y - a.y);
+                error += (p.y - chord) * (p.y - chord);
+            }
+        }
+        error
+    }
+
+    #[test]
+    fn plan_kept_indices_are_optimal_at_every_target_range() {
+        // The affine-invariance argument, checked: indices solved once on
+        // the unit-span shape coarsen every target's requested curve as well
+        // as a fresh DP on that curve does. Where they differ it is an exact
+        // tie that rounding broke differently, so the errors agree.
+        use hebs_imaging::SipiSuite;
+        use hebs_transform::coarsen;
+        let config = PipelineConfig::default();
+        let segments = config.segments.min(config.driver.max_segments()).max(1);
+        let weights = BlendCandidates {
+            values: [0.5, 1.0, 0.0],
+            len: 2,
+        };
+        let (mut cases, mut ties) = (0u32, 0u32);
+        for size in [32, 64, 128] {
+            for (id, image) in SipiSuite::with_size(size).iter() {
+                let histogram = Histogram::of(image);
+                let plan = FitPlan::with_weights(&config, &histogram, weights).unwrap();
+                for range in 2..=256u32 {
+                    let target = TargetRange::from_span(range).unwrap();
+                    let (ghe, linear) = plan.target_curves(target).unwrap();
+                    for (&weight, kept) in weights.as_slice().iter().zip(&plan.kept) {
+                        cases += 1;
+                        let requested = blend_curves(&linear, &ghe, weight).unwrap();
+                        let fresh = coarsen(&requested, segments).unwrap();
+                        if *kept == fresh.kept_indices {
+                            continue;
+                        }
+                        ties += 1;
+                        let points = requested.points();
+                        let ours = kept_error(points, kept);
+                        let theirs = kept_error(points, &fresh.kept_indices);
+                        assert!(
+                            (ours - theirs).abs() <= 1e-9 * ours.max(theirs),
+                            "{id:?} at {size}px, w {weight}, range {range}: \
+                             plan error {ours} vs fresh {theirs}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 19 * 3 * 255 * 2);
+        assert!(ties < cases / 10, "{ties} of {cases} cases differ");
+    }
+
+    #[test]
+    fn one_target_fits_solve_one_coarsening_per_nontrivial_weight() {
+        let img = synthetic::portrait(32, 32, 47);
+        let hist = Histogram::of(&img);
+        let target = TargetRange::from_span(128).unwrap();
+        let uiqi = histogram_config();
+        let (_, adaptive) =
+            dp_solves_during(|| evaluate_range_from_histogram(&uiqi, &hist, target).unwrap());
+        assert_eq!(adaptive, 2, "w = 0 is a 2-point line and needs no DP");
+        let (_, windowed) =
+            dp_solves_during(|| evaluate_range_from_histogram(&small_config(), &hist, target));
+        assert_eq!(windowed, 0, "a declined fit solves nothing");
+        let (_, single) =
+            dp_solves_during(|| fit_transform(&small_config(), &hist, target, 0.5).unwrap());
+        assert_eq!(single, 1);
+        let (_, linear) =
+            dp_solves_during(|| fit_transform(&small_config(), &hist, target, 0.0).unwrap());
+        assert_eq!(linear, 0);
     }
 
     #[test]

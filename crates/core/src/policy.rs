@@ -25,8 +25,8 @@ use crate::error::{HebsError, Result};
 use crate::ghe::TargetRange;
 use crate::pipeline::{
     apply_transform_with_histogram_scratch, evaluate_at_range_scratch,
-    evaluate_range_from_histogram, evaluate_transform_from_histogram, Evaluation, FitScratch,
-    FrameTransform, PipelineConfig, RangeEvaluation,
+    evaluate_transform_from_histogram, Evaluation, FitPlan, FitScratch, FrameTransform,
+    PipelineConfig, RangeEvaluation,
 };
 
 /// The outcome of running a backlight scaling policy on one image.
@@ -50,8 +50,9 @@ pub struct ScalingOutcome {
     /// The luminance image the display emits.
     pub displayed: GrayImage,
     /// Number of target-range fit evaluations the policy performed to
-    /// produce this outcome: ~8 for a closed-loop search, 1 for an
-    /// open-loop lookup, 0 when a cached transform was replayed.
+    /// produce this outcome: 9 for a closed-loop search (the full range plus
+    /// 8 bisection steps), 1 for an open-loop lookup, 0 when a cached
+    /// transform was replayed.
     pub fit_evaluations: u32,
 }
 
@@ -197,24 +198,15 @@ impl HebsPolicy {
         }
     }
 
-    fn evaluate(
-        &self,
-        image: &GrayImage,
-        histogram: &Histogram,
-        range: u32,
-        scratch: &mut FitScratch,
-    ) -> Result<RangeEvaluation> {
-        let target = TargetRange::from_span(range)?;
-        evaluate_at_range_scratch(&self.config, image, histogram, target, scratch)
-    }
-
     /// Closed-loop search: the smallest range whose measured distortion is
     /// within the budget. Distortion is monotone non-increasing in the range
     /// to a good approximation, so a bisection over `[2, 256]` suffices.
     ///
-    /// With a histogram-capable measure the entire bisection runs in level
-    /// space and only the winning fit is materialized; otherwise every step
-    /// measures through the pixel path (candidates into `scratch`).
+    /// Both bisections fit through one `FitPlan`, so the coarsenings are
+    /// solved once for the whole search. With a histogram-capable measure
+    /// the entire bisection runs in level space and only the winning fit is
+    /// materialized; otherwise every step measures through the pixel path
+    /// (candidates into `scratch`).
     fn search_range(
         &self,
         image: &GrayImage,
@@ -222,15 +214,16 @@ impl HebsPolicy {
         max_distortion: f64,
         scratch: &mut FitScratch,
     ) -> Result<RangeEvaluation> {
+        let plan = FitPlan::new(&self.config, histogram)?;
         let full_target = TargetRange::from_span(256).expect("256 is a valid span");
-        if let Some(full) = evaluate_range_from_histogram(&self.config, histogram, full_target)? {
+        if let Some(full) = plan.evaluate(full_target)? {
             if let Some(found) =
-                self.search_range_level_space(image, histogram, max_distortion, full, scratch)?
+                Self::search_range_level_space(&plan, image, max_distortion, full, scratch)?
             {
                 return Ok(found);
             }
         }
-        self.search_range_pixel_space(image, histogram, max_distortion, scratch)
+        Self::search_range_pixel_space(&plan, image, max_distortion, scratch)
     }
 
     /// The O(levels) bisection: every step is a histogram-domain fit; the
@@ -241,9 +234,8 @@ impl HebsPolicy {
     /// caller then restarts through the pixel path instead of panicking a
     /// serving worker.
     fn search_range_level_space(
-        &self,
+        plan: &FitPlan<'_>,
         image: &GrayImage,
-        histogram: &Histogram,
         max_distortion: f64,
         full: Evaluation,
         scratch: &mut FitScratch,
@@ -261,8 +253,7 @@ impl HebsPolicy {
         let mut best = full;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let target = TargetRange::from_span(mid)?;
-            let Some(eval) = evaluate_range_from_histogram(&self.config, histogram, target)? else {
+            let Some(eval) = plan.evaluate(TargetRange::from_span(mid)?)? else {
                 return Ok(None);
             };
             total_evaluations += eval.fit_evaluations;
@@ -280,13 +271,12 @@ impl HebsPolicy {
     /// The pixel-path bisection for windowed measures: candidate images go
     /// into the scratch, one full evaluation per step.
     fn search_range_pixel_space(
-        &self,
+        plan: &FitPlan<'_>,
         image: &GrayImage,
-        histogram: &Histogram,
         max_distortion: f64,
         scratch: &mut FitScratch,
     ) -> Result<RangeEvaluation> {
-        let full = self.evaluate(image, histogram, 256, scratch)?;
+        let full = plan.evaluate_with_pixels(image, TargetRange::from_span(256)?, scratch)?;
         let mut total_evaluations = full.fit_evaluations;
         if full.distortion > max_distortion {
             return Ok(full);
@@ -296,7 +286,7 @@ impl HebsPolicy {
         let mut best = full;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let eval = self.evaluate(image, histogram, mid, scratch)?;
+            let eval = plan.evaluate_with_pixels(image, TargetRange::from_span(mid)?, scratch)?;
             total_evaluations += eval.fit_evaluations;
             if eval.distortion <= max_distortion {
                 hi = mid;
@@ -336,7 +326,8 @@ impl HebsPolicy {
                 // the characteristic cannot help; fall back to the widest
                 // (least distorting) range rather than refusing to display.
                 let range = curve.min_range_for_fit(max_distortion, *fit).unwrap_or(256);
-                self.evaluate(image, histogram, range.max(2), scratch)
+                let target = TargetRange::from_span(range.max(2))?;
+                evaluate_at_range_scratch(&self.config, image, histogram, target, scratch)
             }
         }
     }
@@ -749,6 +740,82 @@ mod tests {
             .expect("fit satisfies its own budget");
         assert_eq!(accepted.distortion, loose.distortion);
         assert_eq!(accepted.displayed, loose.displayed);
+    }
+
+    #[test]
+    fn a_closed_loop_search_solves_each_coarsening_once() {
+        use crate::pipeline::{dp_solves_during, BlendMode};
+        let img = synthetic::portrait(32, 32, 48);
+        let uiqi = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        let cases = [
+            ("adaptive, windowed", PipelineConfig::default(), 2),
+            ("adaptive, level space", uiqi.clone(), 2),
+            ("paper (pure GHE)", PipelineConfig::paper(), 1),
+            (
+                "linear only",
+                PipelineConfig {
+                    blend: BlendMode::Fixed(0.0),
+                    ..uiqi
+                },
+                0,
+            ),
+        ];
+        for (name, config, expected) in cases {
+            let policy = HebsPolicy::closed_loop(config);
+            let (outcome, solves) = dp_solves_during(|| policy.optimize(&img, 0.10).unwrap());
+            assert_eq!(solves, expected, "{name}");
+            // The full range plus 8 bisection steps, or the full range
+            // alone when even it misses the budget.
+            let full_only = outcome.fit_evaluations == 1 && outcome.dynamic_range == Some(256);
+            assert!(outcome.fit_evaluations == 9 || full_only, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_range_reached_by_the_bisection_matches_a_one_shot_fit() {
+        // Kept indices do not depend on the target, so the order in which
+        // a search visits ranges cannot change what a range evaluates to.
+        use crate::pipeline::{evaluate_at_range_scratch, evaluate_range_from_histogram};
+        let level = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        let windowed = PipelineConfig::default();
+        let mut ranges = Vec::new();
+        for img in [test_image(), synthetic::low_key(48, 48, 49)] {
+            let hist = Histogram::of(&img);
+            for budget in [0.02, 0.05, 0.10, 0.20] {
+                let (outcome, transform) = HebsPolicy::closed_loop(level.clone())
+                    .optimize_with_transform(&img, budget)
+                    .unwrap();
+                let range = outcome.dynamic_range.unwrap();
+                ranges.push(range);
+                let target = TargetRange::from_span(range).unwrap();
+                let one_shot = evaluate_range_from_histogram(&level, &hist, target)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(*transform, *one_shot.transform, "range {range}");
+                assert_eq!(outcome.beta, one_shot.transform.beta);
+                assert_eq!(outcome.distortion, one_shot.distortion);
+                assert_eq!(outcome.power_saving, one_shot.power_saving);
+                assert_eq!(outcome.lut, one_shot.transform.lut);
+
+                let (outcome, _) = HebsPolicy::closed_loop(windowed.clone())
+                    .optimize_with_transform(&img, budget)
+                    .unwrap();
+                let range = outcome.dynamic_range.unwrap();
+                let target = TargetRange::from_span(range).unwrap();
+                let mut scratch = FitScratch::new();
+                let one_shot =
+                    evaluate_at_range_scratch(&windowed, &img, &hist, target, &mut scratch)
+                        .unwrap();
+                assert_eq!(outcome.beta, one_shot.beta(), "range {range}");
+                assert_eq!(outcome.distortion, one_shot.distortion);
+                assert_eq!(outcome.power_saving, one_shot.power_saving);
+                assert_eq!(outcome.lut, *one_shot.lut());
+                assert_eq!(outcome.displayed, one_shot.displayed);
+            }
+        }
+        ranges.sort_unstable();
+        ranges.dedup();
+        assert!(ranges.len() > 2, "the budgets reach distinct ranges");
     }
 
     #[test]

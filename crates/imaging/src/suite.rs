@@ -200,7 +200,7 @@ impl SipiSuite {
     }
 
     /// Generates the suite at a custom square size (useful to keep unit tests
-    /// and Criterion benches fast).
+    /// and benches fast).
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@
 //! The HEBS hardware flow is *open-loop*: an offline-fitted distortion
 //! characteristic curve maps the distortion budget straight to a dynamic
 //! range, so serving a frame costs **one** fit evaluation instead of the
-//! closed-loop bisection's ~8. The catch is that the curve describes the
+//! closed-loop search's 9. The catch is that the curve describes the
 //! traffic it was characterized on; when traffic drifts, the promised
 //! distortion bound stops holding — and when the traffic is *heterogeneous*,
 //! a single worst-case curve refuses to dim at all (the outlier image vetoes
@@ -48,7 +48,7 @@ use hebs_imaging::{Histogram, HistogramSignature, SIGNATURE_BINS};
 #[derive(Debug, Clone, Default)]
 pub enum ServingMode {
     /// Bisect over target ranges per miss so the distortion bound is met
-    /// exactly (~8 fit evaluations per miss). The default.
+    /// exactly (9 fit evaluations per miss). The default.
     #[default]
     ClosedLoop,
     /// Look the range up on a (per-class) distortion characteristic curve

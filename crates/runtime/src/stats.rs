@@ -164,10 +164,11 @@ pub struct EngineStats {
     /// Target-range fit evaluations across all served frames: each range
     /// fitted during a search counts once (the blend candidates it
     /// arbitrates internally are part of that one evaluation); cache
-    /// replays count zero. A closed-loop miss bisects through ~8 of these,
-    /// an open-loop miss performs exactly 1 (plus a closed-loop search when
-    /// the drift check falls back) — this counter is what the throughput
-    /// bench gates on across PRs to keep both honest.
+    /// replays count zero. A closed-loop miss performs 9 of these (the full
+    /// range plus 8 bisection steps), an open-loop miss exactly 1 (plus a
+    /// closed-loop search when the drift check falls back) — this counter
+    /// is what the throughput bench gates on across PRs to keep both
+    /// honest.
     pub fit_evaluations: u64,
     /// Frames whose open-loop fit exceeded the distortion budget and were
     /// re-served through the closed-loop search (the per-serve drift

@@ -18,6 +18,25 @@
 //! segments between point `j` and point `n` with the single chord from `j`
 //! to `n`. The implementation runs in `O(m·n²)` time after an `O(n²)`
 //! chord-error precomputation, matching the complexity stated in the paper.
+//! All tables are flat buffers (one allocation each), and the program
+//! relaxes forward from each chord start, so its inner loop walks one
+//! contiguous row of the start-major chord table.
+//!
+//! # Affine invariance
+//!
+//! The objective only measures vertical deviations from chords. Mapping
+//! every ordinate through `y ↦ a + b·y` (with `b > 0`) leaves the
+//! abscissas alone and scales every deviation by `b`, so every chord error,
+//! and with it every candidate solution's total, scales by `b²`: the
+//! optimal kept indices are the same for both curves. HEBS relies on this.
+//! The requested curve of Eq. 7 is `g_min + span·shape(x)` with a shape
+//! that does not depend on the target range, so the kept indices solved
+//! once on the unit-span shape ([`optimal_kept_indices`]) serve every
+//! target range of the same histogram. In floating point, exact ties can
+//! resolve differently between the two scalings; the alternatives then
+//! have the same error to rounding.
+
+use std::ops::Index;
 
 use crate::error::{Result, TransformError};
 use crate::piecewise::{ControlPoint, PiecewiseLinear};
@@ -70,77 +89,110 @@ impl CoarseningResult {
 /// ```
 pub fn coarsen(curve: &PiecewiseLinear, max_segments: usize) -> Result<CoarseningResult> {
     let points = curve.points();
+    let (kept, squared_error) = optimal_kept_indices(points, max_segments)?;
+    Ok(CoarseningResult {
+        curve: PiecewiseLinear::new(kept.iter().map(|&i| points[i]).collect())?,
+        kept_indices: kept,
+        squared_error,
+    })
+}
+
+/// The dynamic program behind [`coarsen`]: the indices of the control
+/// points an optimal coarsening to at most `max_segments` segments keeps
+/// (first and last always included, ascending), and its total squared
+/// error.
+///
+/// This is the entry point for callers that coarsen many affinely related
+/// curves: solve once and take each curve's points at the returned indices
+/// (see the module docs on affine invariance). When `max_segments` already
+/// covers every segment, all indices are kept with zero error.
+///
+/// # Errors
+///
+/// Returns [`TransformError::InvalidSegmentCount`] when `max_segments` is 0.
+pub fn optimal_kept_indices(
+    points: &[ControlPoint],
+    max_segments: usize,
+) -> Result<(Vec<usize>, f64)> {
     let n = points.len();
     if max_segments == 0 {
         return Err(TransformError::InvalidSegmentCount {
             requested: max_segments,
-            available: n - 1,
+            available: n.saturating_sub(1),
         });
     }
-    // Nothing to do: the curve already has few enough segments.
-    if max_segments >= n - 1 {
-        return Ok(CoarseningResult {
-            curve: curve.clone(),
-            kept_indices: (0..n).collect(),
-            squared_error: 0.0,
-        });
+    if max_segments >= n.saturating_sub(1) {
+        return Ok(((0..n).collect(), 0.0));
     }
 
-    // chord_error[i][j] = squared error of replacing points i..=j by the
-    // chord from point i to point j (summed over the interior points).
     let chord_error = chord_errors(points);
 
-    // dp[s][j] = minimum error of approximating points 0..=j with s segments
-    // that end exactly at point j.
-    let inf = f64::INFINITY;
-    let mut dp = vec![vec![inf; n]; max_segments + 1];
-    let mut parent = vec![vec![usize::MAX; n]; max_segments + 1];
-    dp[0][0] = 0.0;
+    // dp[s·n + j] = minimum error of approximating points 0..=j with s
+    // segments that end exactly at point j; parent[s·n + j] is the start of
+    // that last segment.
+    let mut dp = vec![f64::INFINITY; (max_segments + 1) * n];
+    let mut parent = vec![0usize; (max_segments + 1) * n];
+    dp[0] = 0.0;
     for s in 1..=max_segments {
-        for j in 1..n {
-            for i in (s - 1)..j {
-                let prev = dp[s - 1][i];
-                if prev.is_finite() {
-                    let cost = prev + chord_error[i][j];
-                    if cost < dp[s][j] {
-                        dp[s][j] = cost;
-                        parent[s][j] = i;
-                    }
-                }
+        let (done, rest) = dp.split_at_mut(s * n);
+        let previous = &done[(s - 1) * n..];
+        let row = &mut rest[..n];
+        let parents = &mut parent[s * n..(s + 1) * n];
+        // Relax every chord i → j forward from its start. Starts ascend and
+        // only a strictly smaller cost replaces the incumbent, so each end
+        // keeps the smallest optimal start, as a per-end scan would.
+        for i in (s - 1)..(n - 1) {
+            let base = previous[i];
+            if !base.is_finite() {
+                continue;
+            }
+            let ends = row[i + 1..].iter_mut().zip(&mut parents[i + 1..]);
+            for ((best, from), &error) in ends.zip(&chord_error[i][i + 1..]) {
+                let cost = base + error;
+                let better = cost < *best;
+                *best = if better { cost } else { *best };
+                *from = if better { i } else { *from };
             }
         }
     }
 
     // The best solution may use fewer than max_segments segments.
     let mut best_s = 1;
-    let mut best_err = dp[1][n - 1];
-    for (s, row) in dp.iter().enumerate().take(max_segments + 1).skip(1) {
-        if row[n - 1] < best_err {
-            best_err = row[n - 1];
+    let mut best_err = dp[n + n - 1];
+    for s in 2..=max_segments {
+        let err = dp[s * n + n - 1];
+        if err < best_err {
+            best_err = err;
             best_s = s;
         }
     }
 
     // Backtrack the kept indices.
-    let mut kept = Vec::with_capacity(best_s + 1);
+    let mut kept = vec![0usize; best_s + 1];
     let mut j = n - 1;
-    let mut s = best_s;
-    kept.push(j);
-    while s > 0 {
-        j = parent[s][j];
-        kept.push(j);
-        s -= 1;
+    for s in (1..=best_s).rev() {
+        kept[s] = j;
+        j = parent[s * n + j];
     }
-    kept.reverse();
-    debug_assert_eq!(kept[0], 0);
+    debug_assert_eq!(j, 0);
+    Ok((kept, best_err))
+}
 
-    let coarse_points: Vec<ControlPoint> = kept.iter().map(|&i| points[i]).collect();
-    let coarse = PiecewiseLinear::new(coarse_points)?;
-    Ok(CoarseningResult {
-        curve: coarse,
-        kept_indices: kept,
-        squared_error: best_err,
-    })
+/// Squared chord errors in one flat, start-major `n × n` buffer:
+/// `errors[i][j]` is the error of the chord from point `i` to point `j`
+/// (zero unless `i + 1 < j`).
+struct ChordErrors {
+    n: usize,
+    errors: Vec<f64>,
+}
+
+impl Index<usize> for ChordErrors {
+    type Output = [f64];
+
+    /// Row `start`: the errors of every chord beginning at that point.
+    fn index(&self, start: usize) -> &[f64] {
+        &self.errors[start * self.n..(start + 1) * self.n]
+    }
 }
 
 /// Precomputes, for every pair `i < j`, the squared error of replacing the
@@ -152,10 +204,10 @@ pub fn coarsen(curve: &PiecewiseLinear, max_segments: usize) -> Result<Coarsenin
 /// `Δy² − 2s·ΔxΔy + s²Δx²`. For a fixed start the three sums over interior
 /// points grow by one term as the chord end advances, making each pair O(1)
 /// instead of O(n).
-fn chord_errors(points: &[ControlPoint]) -> Vec<Vec<f64>> {
+fn chord_errors(points: &[ControlPoint]) -> ChordErrors {
     let n = points.len();
-    let mut errors = vec![vec![0.0f64; n]; n];
-    for i in 0..n {
+    let mut errors = vec![0.0f64; n * n];
+    for (i, row) in errors.chunks_exact_mut(n.max(1)).enumerate() {
         let a = points[i];
         let (mut sum_dy2, mut sum_dxdy, mut sum_dx2) = (0.0f64, 0.0f64, 0.0f64);
         for j in (i + 2)..n {
@@ -168,10 +220,10 @@ fn chord_errors(points: &[ControlPoint]) -> Vec<Vec<f64>> {
             sum_dx2 += dx * dx;
             let b = points[j];
             let slope = (b.y - a.y) / (b.x - a.x);
-            errors[i][j] = (sum_dy2 - 2.0 * slope * sum_dxdy + slope * slope * sum_dx2).max(0.0);
+            row[j] = (sum_dy2 - 2.0 * slope * sum_dxdy + slope * slope * sum_dx2).max(0.0);
         }
     }
-    errors
+    ChordErrors { n, errors }
 }
 
 #[cfg(test)]
