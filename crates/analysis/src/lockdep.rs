@@ -51,6 +51,10 @@ pub enum LockClass {
     CacheShard,
     /// One shard of the single-flight table coalescing concurrent misses.
     FlightTable,
+    /// The join handle of an open-loop engine's background rebuild thread.
+    /// Held only to store, take or join-and-replace the handle, never
+    /// while acquiring another lock.
+    RebuildThread,
     /// Leaf bookkeeping: batch result slots, stream feed hand-off, bench
     /// aggregation. Never held across another lock acquisition.
     Stats,
@@ -67,6 +71,7 @@ impl LockClass {
             LockClass::OpenLoopSlot => 30,
             LockClass::CacheShard => 40,
             LockClass::FlightTable => 50,
+            LockClass::RebuildThread => 55,
             LockClass::Stats => 60,
         }
     }
@@ -81,6 +86,7 @@ impl fmt::Display for LockClass {
             LockClass::OpenLoopSlot => "OpenLoopSlot",
             LockClass::CacheShard => "CacheShard",
             LockClass::FlightTable => "FlightTable",
+            LockClass::RebuildThread => "RebuildThread",
             LockClass::Stats => "Stats",
         };
         write!(f, "{name} (rank {})", self.rank())

@@ -1,4 +1,5 @@
-//! Ablation study over the design choices called out in DESIGN.md:
+//! Ablation study over the pipeline's design choices (indexed in the
+//! README's *Reproducing the paper* section):
 //!
 //! * number of piecewise-linear segments handed to the reference driver,
 //! * pure GHE (the paper's transform) versus the adaptive equalization /

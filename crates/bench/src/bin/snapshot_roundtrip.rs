@@ -62,6 +62,7 @@ fn save(path: &str) -> Result<(), String> {
             .process_frame(frame)
             .map_err(|e| format!("canary serve: {e}"))?;
     }
+    engine.quiesce_rebuilds();
     let mut bytes = Vec::new();
     engine
         .snapshot_to_writer(&mut bytes)
@@ -103,6 +104,7 @@ fn restore(path: &str) -> Result<(), String> {
     engine
         .process_frame(&frame)
         .map_err(|e| format!("warm serve: {e}"))?;
+    engine.quiesce_rebuilds();
     let stats = engine.stats();
     if stats.fit_evaluations > 1 || stats.recharacterizations != 0 {
         return Err(format!(

@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Table 1 — power saving (%) per image and distortion budget");
     println!("{table}");
-    println!("Notes: 'ours' runs on the synthetic SIPI stand-ins (see DESIGN.md); absolute");
-    println!("values need not match the paper, but savings must grow with the budget and the");
-    println!("averages should land in the same decade band as the paper's 45.9/56.2/64.4 %.");
+    println!("Notes: 'ours' runs on the synthetic SIPI stand-ins (README, 'Reproducing the");
+    println!("paper'); absolute values need not match the paper, but savings must grow with");
+    println!("the budget and the averages should land in the same decade band as the paper's");
+    println!("45.9/56.2/64.4 %.");
     Ok(())
 }

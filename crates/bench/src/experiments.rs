@@ -450,6 +450,7 @@ pub fn run_runtime_throughput(
                 engine.install_characteristic(seed)?;
             }
             let report = engine.process_batch(&frames)?;
+            engine.quiesce_rebuilds();
             let stats = engine.stats();
             rows.push(RuntimeThroughputRow {
                 workload: workload.clone(),
@@ -1277,6 +1278,9 @@ fn serve_node(
     for (index, frame) in frames.iter().enumerate() {
         let before = engine.stats().fit_evaluations;
         let result = engine.process_frame(frame)?;
+        // Serve the next frame on whatever this serve's rebuild installs,
+        // so the recovery count does not depend on thread timing.
+        engine.quiesce_rebuilds();
         let evaluations = engine.stats().fit_evaluations - before;
         savings += result.outcome.power_saving;
         if !result.cache_hit {

@@ -1,10 +1,11 @@
 //! Shared infrastructure for the HEBS benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
-//! binary under `src/bin/` (see `DESIGN.md` for the experiment index); this
-//! library hosts the pieces they share: the benchmark suite wrapper, the
-//! experiment runners, the paper's reference numbers and a small text-table
-//! formatter so all harnesses print in the same style.
+//! binary under `src/bin/` (the README's *Reproducing the paper* section is
+//! the experiment index); this library hosts the pieces they share: the
+//! benchmark suite wrapper, the experiment runners, the paper's reference
+//! numbers and a small text-table formatter so all harnesses print in the
+//! same style.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -183,22 +183,6 @@ impl DistortionCharacteristic {
         &self.samples
     }
 
-    /// The average ("entire dataset") fit of Figure 7.
-    pub fn average_fit(&self) -> &Polynomial {
-        &self.average
-    }
-
-    /// The p95 quantile [envelope](ENVELOPE_QUANTILE) fit: between the
-    /// average and the worst case.
-    pub fn envelope_fit(&self) -> &Polynomial {
-        &self.envelope
-    }
-
-    /// The worst-case (upper envelope) fit of Figure 7.
-    pub fn worst_case_fit(&self) -> &Polynomial {
-        &self.worst_case
-    }
-
     /// Predicted distortion at a given dynamic range using the average fit,
     /// clamped to `[0, 1]`.
     pub fn predicted_distortion(&self, dynamic_range: u32) -> f64 {

@@ -144,11 +144,6 @@ impl GrayImage {
         self.data.resize(width as usize * height as usize, 0);
     }
 
-    /// Consumes the image and returns the raw row-major pixel buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
     /// Returns the pixel at `(x, y)`, or `None` if out of bounds.
     pub fn get(&self, x: u32, y: u32) -> Option<u8> {
         if x < self.width && y < self.height {

@@ -48,11 +48,6 @@ impl Rgb {
         let y = 0.299 * f64::from(self.r) + 0.587 * f64::from(self.g) + 0.114 * f64::from(self.b);
         y.round().clamp(0.0, 255.0) as u8
     }
-
-    /// Normalized luminance in `[0, 1]`.
-    pub fn normalized_luminance(self) -> f64 {
-        f64::from(self.luminance()) / f64::from(MAX_LEVEL)
-    }
 }
 
 impl From<[u8; 3]> for Rgb {

@@ -5,8 +5,9 @@
 //! suite here generates a synthetic stand-in for each of the 19 names with a
 //! tonal character chosen to resemble the original (portrait, landscape,
 //! still life, fine texture, test chart, …). The substitution is documented
-//! in `DESIGN.md`: the backlight-scaling policies only consume the image
-//! histogram and local structure, both of which the generators control.
+//! in the README's *Reproducing the paper* section: the backlight-scaling
+//! policies only consume the image histogram and local structure, both of
+//! which the generators control.
 
 use crate::image::GrayImage;
 use crate::synthetic;

@@ -137,12 +137,6 @@ impl CacheConfig {
         self.budget_band_width = width;
         self
     }
-
-    /// Returns the configuration with an entry time-to-live.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
-    }
 }
 
 /// Quantizes a distortion budget into its band index.

@@ -42,7 +42,9 @@ use crate::cache::{
     SignatureKey, TransformCache,
 };
 use crate::error::{Result, RuntimeError};
-use crate::serving::{CurveBank, CurveState, OpenLoopState, RebuildPlan, ServingMode};
+use crate::serving::{
+    CurveBank, CurveState, OpenLoopState, RebuildClaim, RebuildPlan, Replace, ServingMode,
+};
 use crate::snapshot::{
     self, ApproxSpillRecord, BankRecord, CacheRecord, ClassRecord, ExactSpillRecord, OutcomeRecord,
     RestoreReport, SampleRecord, SnapshotError,
@@ -761,11 +763,11 @@ impl EngineInner {
 
     /// Serves one frame and records its latency in the cumulative stats.
     /// In open-loop mode, also feeds the traffic sketch and the rebuild
-    /// triggers, and performs a due re-characterization on this worker
-    /// (single-flight: concurrent workers keep serving off the old curve).
+    /// triggers, and hands a due re-characterization to a background thread
+    /// (single-flight: at most one rebuild runs per engine).
     // lint: hot-path
     fn serve_timed(
-        &self,
+        self: &Arc<Self>,
         index: usize,
         frame: &GrayImage,
         budget: f64,
@@ -803,72 +805,85 @@ impl EngineInner {
         })
     }
 
-    /// Rebuilds a distortion characteristic from a traffic sketch when a
-    /// trigger is due, and swaps it into the bank slot. At most one worker
-    /// rebuilds at a time; the losers (and every other worker) continue
-    /// serving with the current bank, so a rebuild never blocks the serve
-    /// path.
+    /// Starts a rebuild when a trigger is due. The serve that wins the
+    /// single-flight claim spawns one thread to run it and returns at once,
+    /// so no serve waits for a characterization; the other workers see the
+    /// claim taken and keep serving the current bank. Only when the OS
+    /// refuses a thread does the claiming serve rebuild inline.
+    // lint: cold-path
+    fn maybe_recharacterize(self: &Arc<Self>, state: &OpenLoopState) {
+        if state.rebuild_plan().is_none() || !state.begin_rebuild() {
+            return;
+        }
+        let inner = Arc::clone(self);
+        if !state.spawn_rebuild(move || inner.rebuild()) {
+            self.rebuild();
+        }
+    }
+
+    /// Runs a claimed rebuild and releases the claim, also on panic.
     ///
     /// With no bank installed the bootstrap clusters the pre-bank sketch
     /// into up to `classes` content classes; afterwards each class rebuilds
     /// *only itself* from its own sketch, bumping only its own cache-key
-    /// generation. Trigger counters are consumed by the amount observed at
-    /// rebuild time (never stored to zero), so fallbacks recorded by
-    /// concurrent workers while the rebuild runs still count toward the
-    /// next drift trigger.
-    // lint: cold-path
-    fn maybe_recharacterize(&self, state: &OpenLoopState) {
-        if state.rebuild_plan().is_none() || !state.begin_rebuild() {
+    /// generation. The bank is loaded before any sketch is copied, and the
+    /// rebuilt curve is installed only over that same bank: a restore or
+    /// install landing mid-rebuild wins. Trigger counters are consumed by
+    /// the amount observed at rebuild time (never stored to zero), so
+    /// fallbacks recorded by workers while the rebuild runs still count
+    /// toward the next drift trigger.
+    fn rebuild(&self) {
+        let Some(state) = &self.serving else {
             return;
-        }
-        // Re-derive the plan under the single-flight claim (another worker
-        // may have completed a rebuild between the probe and the claim).
-        if let Some(plan) = state.rebuild_plan() {
-            match plan {
-                RebuildPlan::Bootstrap => self.bootstrap_bank(state),
-                RebuildPlan::Class(class) => self.recharacterize_class(state, class),
+        };
+        let _claim = RebuildClaim::held(state);
+        let seen = state.current();
+        match (state.rebuild_plan_for(seen.as_ref()), &seen) {
+            (Some(RebuildPlan::Bootstrap), None) => self.bootstrap_bank(state),
+            (Some(RebuildPlan::Class(class)), Some(seen)) => {
+                self.recharacterize_class(state, class, seen);
             }
+            _ => {}
         }
         // Piggy-back on the rebuild cadence (and its single-flight claim)
         // to re-partition the sketch budget by each class's observed
         // traffic share, so skewed traffic doesn't starve rare classes'
         // rebuilds.
         state.rebalance_sketch_capacities();
-        state.end_rebuild();
     }
 
     /// The first characterization of an open-loop engine that was never
     /// seeded: clusters the pre-bank sketch into a fresh bank (a single
-    /// class when `classes` is 1 — the classic flow).
+    /// class when `classes` is 1 — the classic flow). Installs only into
+    /// a still-empty slot.
     fn bootstrap_bank(&self, state: &OpenLoopState) {
         let (frames, drifts) = state.observed_triggers(0);
         let histograms = state.sketch_snapshot(0);
         let config = self.policy.config();
-        let installed = if state.recharacterize.classes > 1 {
+        let bank = if state.recharacterize.classes > 1 {
             CharacteristicBank::build(
                 config,
                 &histograms,
                 &state.recharacterize.ranges,
                 state.recharacterize.classes,
             )
-            .map(|bank| state.install_bank(config, &bank))
-            .is_ok()
+            .map(|bank| state.full_bank(config, &bank))
         } else {
             DistortionCharacteristic::characterize_from_histograms(
                 config,
                 &histograms,
                 &state.recharacterize.ranges,
             )
-            .map(|curve| state.install(config.clone(), Arc::new(curve)))
-            .is_ok()
+            .map(|curve| state.single_bank(config.clone(), Arc::new(curve)))
         };
-        if installed {
+        interleave::point("rebuild.install");
+        if bank.is_ok_and(|bank| state.swap_bank(bank, Replace::Empty)) {
             self.totals.record_recharacterization();
         } else {
             // Characterization failed (e.g. incapable measure slipping
-            // through, too few samples): consume the observed counts so the
-            // next attempt waits for a full interval instead of retrying
-            // every frame.
+            // through, too few samples) or a bank was installed meanwhile:
+            // consume the observed counts so the next attempt waits for a
+            // full interval instead of retrying every frame.
             state.consume_triggers(0, frames, drifts);
         }
     }
@@ -876,7 +891,7 @@ impl EngineInner {
     /// Rebuilds one class's curve from its own sketch and swaps it into the
     /// bank — invalidating (via the class's key generation) only that
     /// class's cached fits.
-    fn recharacterize_class(&self, state: &OpenLoopState, class: usize) {
+    fn recharacterize_class(&self, state: &OpenLoopState, class: usize, seen: &Arc<CurveBank>) {
         let (frames, drifts) = state.observed_triggers(class);
         let histograms = state.sketch_snapshot(class);
         // On characterization failure (e.g. too few samples) the current
@@ -891,17 +906,16 @@ impl EngineInner {
             // curve actually predicts differently. Drift triggers firing
             // on stationary but heterogeneous traffic otherwise wipe the
             // class every `drift_limit` fallbacks for nothing.
-            let unchanged = state.current().is_some_and(|bank| {
-                bank.classes.get(class).is_some_and(|installed| {
-                    installed
-                        .characteristic
-                        .max_prediction_delta(&curve, &state.recharacterize.ranges)
-                        <= state.recharacterize.min_swap_delta
-                })
+            let unchanged = seen.classes.get(class).is_some_and(|installed| {
+                installed
+                    .characteristic
+                    .max_prediction_delta(&curve, &state.recharacterize.ranges)
+                    <= state.recharacterize.min_swap_delta
             });
+            interleave::point("rebuild.install");
             if !unchanged
                 && state
-                    .install_class(class, self.policy.config().clone(), Arc::new(curve))
+                    .install_class(seen, class, self.policy.config().clone(), Arc::new(curve))
                     .is_some()
             {
                 self.totals.record_recharacterization();
@@ -1251,6 +1265,31 @@ impl Engine {
     /// rebuilt class's previously cached fits (and only those).
     pub fn characteristic_generation(&self) -> u64 {
         self.inner.policy_generation()
+    }
+
+    /// Waits until the background re-characterization started by an
+    /// earlier serve has finished, so its install (or discard) is visible
+    /// to [`Engine::stats`] and [`Engine::characteristic_generation`].
+    ///
+    /// An open-loop serve that claims a due rebuild hands it to a thread
+    /// of its own and returns without waiting; at most one such rebuild
+    /// runs per engine. Returns at once for a closed-loop engine or when
+    /// no rebuild was started.
+    pub fn quiesce_rebuilds(&self) {
+        if let Some(state) = &self.inner.serving {
+            state.join_rebuild();
+        }
+    }
+
+    /// Background re-characterizations that panicked (0 in closed-loop
+    /// mode). The panic is contained on the rebuild's thread: the rebuild
+    /// claim is released, the installed bank keeps serving, and a later
+    /// trigger rebuilds again.
+    pub fn rebuild_panics(&self) -> u64 {
+        self.inner
+            .serving
+            .as_ref()
+            .map_or(0, OpenLoopState::rebuild_panics)
     }
 
     /// Serializes the engine's learned warm-start state into `writer`: the
@@ -2911,6 +2950,59 @@ mod tests {
         assert!(engine.characteristic().is_none());
     }
 
+    /// Only an open-loop serve that claims a due rebuild starts a thread:
+    /// neither a closed-loop engine nor a freshly built open-loop engine
+    /// owns one, and `quiesce_rebuilds` joins the one a serve started.
+    #[test]
+    fn only_a_claimed_rebuild_owns_a_thread() {
+        use crate::{RecharacterizePolicy, ServingMode};
+        let owns_thread = |engine: &Engine| {
+            engine
+                .inner
+                .serving
+                .as_ref()
+                .is_some_and(OpenLoopState::owns_rebuild_thread)
+        };
+        let frames = test_frames(2);
+        let closed = engine(EngineConfig::default());
+        closed.process_batch(&frames).unwrap();
+        assert!(!owns_thread(&closed));
+
+        let open = Engine::new(
+            HebsPolicy::closed_loop(
+                PipelineConfig::default().with_measure(hebs_quality::GlobalUiqiDistortion),
+            ),
+            EngineConfig {
+                workers: 1,
+                mode: ServingMode::OpenLoop {
+                    recharacterize: RecharacterizePolicy {
+                        interval: None,
+                        drift_limit: None,
+                        sample_period: 1,
+                        ..RecharacterizePolicy::default()
+                    },
+                },
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(!owns_thread(&open), "construction starts no thread");
+        // The first serve samples the sketch and claims the bootstrap.
+        open.process_frame(&frames[0]).unwrap();
+        assert!(
+            owns_thread(&open),
+            "the claiming serve handed the rebuild off"
+        );
+        open.quiesce_rebuilds();
+        assert!(!owns_thread(&open));
+        let state = open.inner.serving.as_ref().unwrap();
+        assert!(
+            state.begin_rebuild(),
+            "the finished rebuild released its claim"
+        );
+        assert_eq!(open.rebuild_panics(), 0);
+    }
+
     /// Warm-start snapshot pins: round trips preserve the bank (classes,
     /// generations, first-miss cost), corrupt or mismatched bytes are a
     /// typed rejection that leaves the engine serving cold, and spilled
@@ -2993,6 +3085,7 @@ mod tests {
             fleet
                 .process_frame(&synthetic::portrait(32, 32, 9))
                 .unwrap();
+            fleet.quiesce_rebuilds();
             let stats = fleet.stats();
             assert_eq!(stats.fit_evaluations, 1, "warm first miss is one eval");
             assert_eq!(stats.recharacterizations, 0);

@@ -24,16 +24,18 @@
 //!   search for that frame only, so the distortion contract always holds;
 //! * each class keeps its own rolling [`TrafficSketch`] of recent frame
 //!   histograms and its own rebuild triggers: every N frames and/or after
-//!   enough drift fallbacks *in that class*, one worker rebuilds that
-//!   class's [`DistortionCharacteristic`] from its sketch (entirely in the
-//!   histogram domain) and swaps a new bank into the engine's slot while
-//!   the other workers keep serving;
+//!   enough drift fallbacks *in that class*, the serve that claims the
+//!   rebuild hands it to a background thread and returns; that thread
+//!   rebuilds the class's [`DistortionCharacteristic`] from its sketch
+//!   (entirely in the histogram domain) and swaps a new bank into the
+//!   engine's slot while every worker keeps serving;
 //! * every class carries its own *characteristic generation* that is part
 //!   of every cache key (alongside the class id), so a rebuild invalidates
 //!   only the affected class's cached fits.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use hebs_analysis::{interleave, lock_healthy, LockClass, OrderedMutex};
 
@@ -295,10 +297,50 @@ pub(crate) enum RebuildPlan {
     Class(usize),
 }
 
+/// Which installed bank a whole-bank swap may replace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Replace {
+    /// Whatever is installed: an operator install or a snapshot restore.
+    Any,
+    /// Only an empty slot: a bootstrap rebuild must not overwrite a bank
+    /// installed while it characterized.
+    Empty,
+}
+
+impl Replace {
+    fn allows(self, current: Option<&Arc<CurveBank>>) -> bool {
+        self == Replace::Any || current.is_none()
+    }
+}
+
+/// The single-flight rebuild claim, held by the thread that runs the
+/// rebuild a serve won with [`OpenLoopState::begin_rebuild`]. Dropping it
+/// releases the claim. That includes unwinding from a panicking
+/// characterization, which would otherwise leave the claim taken and stop
+/// the engine from ever rebuilding again; such a panic is counted.
+pub(crate) struct RebuildClaim<'a>(&'a OpenLoopState);
+
+impl<'a> RebuildClaim<'a> {
+    /// Takes charge of a claim already won through `begin_rebuild`.
+    pub(crate) fn held(state: &'a OpenLoopState) -> Self {
+        RebuildClaim(state)
+    }
+}
+
+impl Drop for RebuildClaim<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.rebuild_panics.fetch_add(1, Ordering::Relaxed); // ordering: monotonic tally, nothing published
+        }
+        self.0.end_rebuild();
+    }
+}
+
 /// Shared open-loop serving state: the swappable bank slot, the per-class
-/// traffic sketches, and the per-class rebuild triggers. All methods are
-/// safe to call from any worker; the slot swap is the only write the serve
-/// path ever waits on, and it is a single `Arc` store.
+/// traffic sketches, the per-class rebuild triggers and the background
+/// rebuild thread. All methods are safe to call from any worker; the slot
+/// swap is the only write the serve path ever waits on, and it is a single
+/// `Arc` store.
 #[derive(Debug)]
 pub(crate) struct OpenLoopState {
     pub(crate) recharacterize: RecharacterizePolicy,
@@ -315,9 +357,14 @@ pub(crate) struct OpenLoopState {
     sketches: Vec<OrderedMutex<TrafficSketch>>,
     /// Per-class rebuild trigger counters.
     triggers: Vec<ClassTriggers>,
-    /// Single-flight marker for rebuilds: one worker rebuilds, the others
-    /// keep serving.
+    /// Single-flight marker for rebuilds: at most one rebuild runs, and
+    /// every worker keeps serving.
     rebuilding: AtomicBool,
+    /// The thread running the current (or last) claimed rebuild, joined by
+    /// `Engine::quiesce_rebuilds` and before the next rebuild's spawn.
+    rebuild_thread: OrderedMutex<Option<JoinHandle<()>>>,
+    /// Rebuilds whose characterization panicked (see [`RebuildClaim`]).
+    rebuild_panics: AtomicU64,
     /// Rebuild attempts claimed so far. Gates the bootstrap trigger: once
     /// a first characterization has been attempted (successful or not),
     /// only the interval/drift triggers schedule further rebuilds, so a
@@ -345,6 +392,8 @@ impl OpenLoopState {
                 .collect(),
             triggers: (0..classes).map(|_| ClassTriggers::default()).collect(),
             rebuilding: AtomicBool::new(false),
+            rebuild_thread: OrderedMutex::new(LockClass::RebuildThread, None),
+            rebuild_panics: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
             histogram_capable,
             poison_recoveries: AtomicU64::new(0),
@@ -397,31 +446,26 @@ impl OpenLoopState {
         })
     }
 
-    /// Installs a single-curve bank (the classic flow): builds the
-    /// open-loop policy around it, stamps it with the next key generation
-    /// and resets every class's rebuild triggers and sketches. Returns the
-    /// new generation.
-    pub(crate) fn install(
+    /// A single-curve bank (the classic flow) around `characteristic`,
+    /// stamped with the next key generation.
+    pub(crate) fn single_bank(
         &self,
         config: PipelineConfig,
         characteristic: Arc<DistortionCharacteristic>,
-    ) -> u64 {
-        let state = self.curve_state(config, characteristic);
-        let generation = state.generation;
-        let bank = Arc::new(CurveBank {
-            classes: vec![state],
+    ) -> CurveBank {
+        CurveBank {
+            classes: vec![self.curve_state(config, characteristic)],
             centroids: Vec::new(),
-        });
-        interleave::point("openloop.swap");
-        *lock_healthy(self.slot.lock(), || self.note_poison()) = Some(bank);
-        self.reset_after_install();
-        generation
+        }
     }
 
-    /// Installs a full bank: one curve state (and fresh generation) per
-    /// class, centroids taken from the bank's clustering. Returns the
-    /// largest new generation.
-    pub(crate) fn install_bank(&self, config: &PipelineConfig, bank: &CharacteristicBank) -> u64 {
+    /// A full bank: one curve state (and fresh generation) per class,
+    /// centroids taken from the bank's clustering.
+    pub(crate) fn full_bank(
+        &self,
+        config: &PipelineConfig,
+        bank: &CharacteristicBank,
+    ) -> CurveBank {
         let classes: Vec<Arc<CurveState>> = bank
             .classes()
             .iter()
@@ -432,20 +476,63 @@ impl OpenLoopState {
         } else {
             Vec::new()
         };
-        let bank = Arc::new(CurveBank { classes, centroids });
-        let generation = bank.max_generation();
+        CurveBank { classes, centroids }
+    }
+
+    /// Swaps a whole bank into the slot when `replace` allows it, first
+    /// resetting every class's rebuild triggers and sketches. Returns
+    /// whether the swap happened.
+    ///
+    /// The reset comes *before* the swap. A rebuild that sees the new bank
+    /// therefore copies a sketch that holds no sample from the previous
+    /// clustering, and a rebuild that saw the old bank has its install
+    /// refused once the swap has landed.
+    pub(crate) fn swap_bank(&self, bank: CurveBank, replace: Replace) -> bool {
+        if !replace.allows(self.current().as_ref()) {
+            return false;
+        }
+        self.reset_for_install();
         interleave::point("openloop.swap");
-        *lock_healthy(self.slot.lock(), || self.note_poison()) = Some(bank);
-        self.reset_after_install();
+        let mut slot = lock_healthy(self.slot.lock(), || self.note_poison());
+        if !replace.allows(slot.as_ref()) {
+            return false;
+        }
+        *slot = Some(Arc::new(bank));
+        true
+    }
+
+    /// Installs a single-curve bank unconditionally. Returns the new
+    /// generation.
+    pub(crate) fn install(
+        &self,
+        config: PipelineConfig,
+        characteristic: Arc<DistortionCharacteristic>,
+    ) -> u64 {
+        let bank = self.single_bank(config, characteristic);
+        let generation = bank.max_generation();
+        self.swap_bank(bank, Replace::Any);
+        generation
+    }
+
+    /// Installs a full bank unconditionally. Returns the largest new
+    /// generation.
+    pub(crate) fn install_bank(&self, config: &PipelineConfig, bank: &CharacteristicBank) -> u64 {
+        let bank = self.full_bank(config, bank);
+        let generation = bank.max_generation();
+        self.swap_bank(bank, Replace::Any);
         generation
     }
 
     /// Replaces one class's curve in the installed bank (keeping every
     /// other class's state and generation), used by the per-class
-    /// background rebuild. Returns the class's new generation, or `None`
-    /// when no bank is installed or the class is out of range.
+    /// background rebuild. `seen` is the bank the rebuild saw before it
+    /// copied the class's sketch; if another bank has been installed since,
+    /// the rebuilt curve describes the old clustering and is discarded.
+    /// Returns the class's new generation, or `None` when the curve was
+    /// discarded or the class is out of range.
     pub(crate) fn install_class(
         &self,
+        seen: &Arc<CurveBank>,
         class: usize,
         config: PipelineConfig,
         characteristic: Arc<DistortionCharacteristic>,
@@ -454,7 +541,7 @@ impl OpenLoopState {
         let generation = state.generation;
         interleave::point("openloop.swap");
         let mut slot = lock_healthy(self.slot.lock(), || self.note_poison());
-        let bank = slot.as_ref()?;
+        let bank = slot.as_ref().filter(|bank| Arc::ptr_eq(bank, seen))?;
         if class >= bank.classes.len() {
             return None;
         }
@@ -468,14 +555,14 @@ impl OpenLoopState {
     }
 
     /// Clears every class's rebuild trigger counters **and traffic
-    /// sketches** after a bank install: the previous counts described
-    /// curves that no longer exist, and the sketched histograms were routed
-    /// under the previous clustering (pre-bank traffic all sat in class 0).
-    /// A later per-class rebuild refitting from another clustering's
-    /// histograms would re-create exactly the pooled-curve veto the bank
-    /// exists to remove. Per-class rebuilds ([`OpenLoopState::
+    /// sketches** for a bank install: the previous counts described
+    /// curves that are being replaced, and the sketched histograms were
+    /// routed under the previous clustering (pre-bank traffic all sat in
+    /// class 0). A later per-class rebuild refitting from another
+    /// clustering's histograms would re-create exactly the pooled-curve
+    /// veto the bank exists to remove. Per-class rebuilds ([`OpenLoopState::
     /// install_class`]) keep their sketches — routing is unchanged there.
-    fn reset_after_install(&self) {
+    fn reset_for_install(&self) {
         for trigger in &self.triggers {
             trigger.frames_since.store(0, Ordering::Release); // ordering: pairs with the Acquire trigger reads so the reset is seen with the install
             trigger.drift_since.store(0, Ordering::Release); // ordering: pairs with the Acquire trigger reads so the reset is seen with the install
@@ -560,10 +647,17 @@ impl OpenLoopState {
     /// characterization cannot retry on every serve); with a bank, the
     /// first class whose own triggers are due is rebuilt.
     pub(crate) fn rebuild_plan(&self) -> Option<RebuildPlan> {
+        self.rebuild_plan_for(self.current().as_ref())
+    }
+
+    /// [`OpenLoopState::rebuild_plan`] against a bank the caller already
+    /// loaded: a rebuild plans against the same bank it later installs
+    /// over.
+    pub(crate) fn rebuild_plan_for(&self, bank: Option<&Arc<CurveBank>>) -> Option<RebuildPlan> {
         if !self.histogram_capable {
             return None;
         }
-        let Some(bank) = self.current() else {
+        let Some(bank) = bank else {
             let bootstrap_due = self.attempts.load(Ordering::Relaxed) == 0; // ordering: advisory gate; the begin_rebuild CAS arbitrates
             if !(bootstrap_due || self.class_due(0)) {
                 return None;
@@ -604,6 +698,50 @@ impl OpenLoopState {
     /// Releases the rebuild marker.
     pub(crate) fn end_rebuild(&self) {
         self.rebuilding.store(false, Ordering::Release);
+    }
+
+    /// Runs a claimed rebuild on a new thread and keeps its handle. The
+    /// previous rebuild's thread is joined first: it released the claim
+    /// this rebuild won, so it has finished its work and is exiting.
+    /// Returns `false`, without running `rebuild`, when no thread could be
+    /// started.
+    pub(crate) fn spawn_rebuild(&self, rebuild: impl FnOnce() + Send + 'static) -> bool {
+        let mut thread = lock_healthy(self.rebuild_thread.lock(), || self.note_poison());
+        if let Some(previous) = thread.take() {
+            // An Err is a panic its claim guard already counted.
+            let _ = previous.join();
+        }
+        match std::thread::Builder::new()
+            .name("hebs-rebuild".to_string())
+            .spawn(rebuild)
+        {
+            Ok(handle) => {
+                *thread = Some(handle);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Waits for the background rebuild thread, if one was spawned and not
+    /// yet joined.
+    pub(crate) fn join_rebuild(&self) {
+        let handle = lock_healthy(self.rebuild_thread.lock(), || self.note_poison()).take();
+        if let Some(handle) = handle {
+            // An Err is a panic its claim guard already counted.
+            let _ = handle.join();
+        }
+    }
+
+    /// Whether a spawned rebuild thread is waiting to be joined.
+    #[cfg(test)]
+    pub(crate) fn owns_rebuild_thread(&self) -> bool {
+        lock_healthy(self.rebuild_thread.lock(), || self.note_poison()).is_some()
+    }
+
+    /// Rebuilds whose characterization panicked.
+    pub(crate) fn rebuild_panics(&self) -> u64 {
+        self.rebuild_panics.load(Ordering::Relaxed) // ordering: advisory snapshot
     }
 
     /// A point-in-time copy of one class's traffic sketch.
@@ -881,6 +1019,7 @@ mod tests {
         // keeps them (routing did not change).
         state.record_serve(1, &histogram_of_level(10), false);
         state.install_class(
+            &state.current().unwrap(),
             0,
             PipelineConfig::default(),
             Arc::new(DistortionCharacteristic::from_samples(dummy_samples()).unwrap()),
@@ -890,6 +1029,36 @@ mod tests {
             1,
             "a class rebuild must not wipe other classes' sketches"
         );
+    }
+
+    /// A rebuild installs only over the bank it saw before copying its
+    /// sketch: once another bank has landed, the rebuilt curve (fitted on
+    /// the old clustering's samples) is discarded, and a bootstrap never
+    /// overwrites a bank installed while it ran.
+    #[test]
+    fn rebuilds_never_install_over_a_bank_swapped_in_meanwhile() {
+        let state = state_with(RecharacterizePolicy::default());
+        let curve = || Arc::new(DistortionCharacteristic::from_samples(dummy_samples()).unwrap());
+        let bootstrap = state.single_bank(PipelineConfig::default(), curve());
+        install_dummy_curve(&state);
+        assert!(
+            !state.swap_bank(bootstrap, Replace::Empty),
+            "a bootstrap must not replace a bank installed while it ran"
+        );
+
+        let seen = state.current().unwrap();
+        install_dummy_curve(&state);
+        let restored = state.current().unwrap();
+        assert!(state
+            .install_class(&seen, 0, PipelineConfig::default(), curve())
+            .is_none());
+        assert!(
+            Arc::ptr_eq(&state.current().unwrap(), &restored),
+            "the newer bank survives"
+        );
+        assert!(state
+            .install_class(&restored, 0, PipelineConfig::default(), curve())
+            .is_some());
     }
 
     #[test]
@@ -968,7 +1137,7 @@ mod tests {
         assert_ne!(class0_generation, class1_generation);
 
         let new_generation = state
-            .install_class(1, PipelineConfig::default(), curve(0.2))
+            .install_class(&installed, 1, PipelineConfig::default(), curve(0.2))
             .unwrap();
         let after = state.current().unwrap();
         assert_eq!(

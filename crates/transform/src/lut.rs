@@ -76,12 +76,6 @@ impl LookupTable {
         }
     }
 
-    /// Whether two tables share the same underlying storage (a clone, not a
-    /// recomputation). Used by cache tests to prove reuse.
-    pub fn shares_storage_with(&self, other: &LookupTable) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
-    }
-
     /// Maps one input level to its output level.
     pub fn map(&self, level: u8) -> u8 {
         self.entries[level as usize]

@@ -120,6 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The open-loop economics: ~1 evaluation per miss, drift fallbacks
     //    counted, curve rebuilt in the background when the scene changed.
+    engine.quiesce_rebuilds();
     let stats = engine.stats();
     println!(
         "\nserved {served} frames, hit rate {:.0}%",

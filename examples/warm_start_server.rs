@@ -68,6 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for frame in &canary_traffic {
         canary.process_frame(frame)?;
     }
+    canary.quiesce_rebuilds();
     let mut snapshot = Vec::new();
     canary.snapshot_to_writer(&mut snapshot)?;
     println!(
@@ -98,6 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for frame in &day2 {
         node.process_frame(frame)?;
     }
+    node.quiesce_rebuilds();
     let stats = node.stats();
     println!(
         "fleet node day 2: {} serves, {} fit evaluations over {} misses, {} hits, {} rebuilds",

@@ -3,7 +3,7 @@
 //!
 //! The runtime carries `analysis::interleave::point` yield points at its
 //! race-prone seams (single-flight join/wake/release, cache insert-evict,
-//! generation-swap claim, tenant admission). Each seed drives a different
+//! generation-swap claim, background rebuild install, tenant admission). Each seed drives a different
 //! deterministic perturbation of the thread interleaving through those
 //! points, so one test binary exercises many distinct schedules of the
 //! same scenario instead of whatever the scheduler happens to produce.
@@ -24,7 +24,7 @@ const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 /// library source in both directions: a point missing here fails the
 /// lint (a seam with no schedule coverage), and an entry with no
 /// matching point fails too (a replay that stopped exercising anything).
-const COVERED_POINTS: [&str; 9] = [
+const COVERED_POINTS: [&str; 10] = [
     "cache.get_after_wait",
     "cache.insert_evict",
     "flight.join",
@@ -32,6 +32,7 @@ const COVERED_POINTS: [&str; 9] = [
     "flight.woke",
     "openloop.begin_rebuild",
     "openloop.swap",
+    "rebuild.install",
     "snapshot.restore",
     "tenant.admit",
 ];
@@ -322,5 +323,174 @@ fn open_loop_rebuild_race_holds_under_seeded_schedules() {
             stats.poison_recoveries, 0,
             "seed {seed}: no lock was poisoned"
         );
+    });
+}
+
+/// Global UIQI whose histogram-domain calls can be held at a gate: once
+/// armed, the next call reports that it has entered and blocks until the
+/// test opens the gate. It pins a background rebuild between its sketch
+/// copy and its install.
+#[derive(Debug, Clone, Default)]
+struct GatedMeasure {
+    gate: std::sync::Arc<(std::sync::Mutex<Gate>, std::sync::Condvar)>,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    armed: bool,
+    entered: bool,
+    open: bool,
+}
+
+impl GatedMeasure {
+    fn arm(&self) {
+        self.gate.0.lock().unwrap().armed = true;
+    }
+
+    fn wait_entered(&self) {
+        let (lock, signal) = &*self.gate;
+        let _entered = signal
+            .wait_while(lock.lock().unwrap(), |gate| !gate.entered)
+            .unwrap();
+    }
+
+    fn open(&self) {
+        let (lock, signal) = &*self.gate;
+        lock.lock().unwrap().open = true;
+        signal.notify_all();
+    }
+}
+
+impl hebs::quality::DistortionMeasure for GatedMeasure {
+    fn distortion(&self, original: &GrayImage, transformed: &GrayImage) -> f64 {
+        hebs::quality::GlobalUiqiDistortion.distortion(original, transformed)
+    }
+
+    fn distortion_from_levels(
+        &self,
+        histogram: &hebs::imaging::Histogram,
+        level_map: &[u8; 256],
+    ) -> Option<f64> {
+        let (lock, signal) = &*self.gate;
+        let mut gate = lock.lock().unwrap();
+        if gate.armed {
+            gate.armed = false;
+            gate.entered = true;
+            signal.notify_all();
+            drop(signal.wait_while(gate, |gate| !gate.open).unwrap());
+        } else {
+            drop(gate);
+        }
+        hebs::quality::GlobalUiqiDistortion.distortion_from_levels(histogram, level_map)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-uiqi"
+    }
+}
+
+/// A snapshot restore that lands while a background class rebuild is
+/// characterizing wins: the rebuild copied its sketch under the old bank,
+/// so its curve is discarded instead of overwriting a restored class, under
+/// every seeded schedule of the `rebuild.install` / `openloop.swap` points.
+#[test]
+fn restore_landing_mid_rebuild_keeps_the_restored_curves() {
+    use hebs::core::{CharacteristicBank, CurveFit, HebsPolicy, PipelineConfig, DEFAULT_RANGES};
+    use hebs::imaging::Histogram;
+    use hebs::quality::GlobalUiqiDistortion;
+    use hebs::runtime::{RecharacterizePolicy, ServingMode};
+
+    let suite = |size: u32| -> Vec<GrayImage> {
+        SipiSuite::with_size(size)
+            .iter()
+            .map(|(_, img)| img.clone())
+            .collect()
+    };
+    let bank_of = |frames: &[GrayImage]| {
+        let histograms: Vec<Histogram> = frames.iter().map(Histogram::of).collect();
+        let pipeline = PipelineConfig::default().with_measure(GlobalUiqiDistortion);
+        CharacteristicBank::build(&pipeline, &histograms, &DEFAULT_RANGES, 2).unwrap()
+    };
+    let engine_with = |pipeline: PipelineConfig| {
+        Engine::new(
+            HebsPolicy::closed_loop(pipeline),
+            EngineConfig {
+                workers: 1,
+                cache: Some(CacheConfig::exact()),
+                mode: ServingMode::OpenLoop {
+                    recharacterize: RecharacterizePolicy {
+                        interval: Some(4),
+                        drift_limit: None,
+                        sample_period: 1,
+                        fit: CurveFit::Envelope,
+                        classes: 2,
+                        min_swap_delta: 0.0,
+                        ..RecharacterizePolicy::default()
+                    },
+                },
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap()
+    };
+
+    // The canary's bank, fitted on other traffic than the engine's own.
+    let canary = engine_with(PipelineConfig::default().with_measure(GlobalUiqiDistortion));
+    canary.install_bank(bank_of(&suite(48))).unwrap();
+    let mut snapshot = Vec::new();
+    canary.snapshot_to_writer(&mut snapshot).unwrap();
+    let frame = suite_frame(32);
+
+    replay_seeds(|seed| {
+        let measure = GatedMeasure::default();
+        let engine = engine_with(PipelineConfig::default().with_measure(measure.clone()));
+        engine.install_bank(bank_of(&suite(32))).unwrap();
+        // One miss and two exact hits; the fourth serve of the frame (a hit,
+        // which never calls the measure) reaches the class's 4-frame
+        // interval and hands the rebuild to its thread, which stops at the
+        // gate on its first measure call.
+        assert!(
+            !engine.process_frame(&frame).unwrap().cache_hit,
+            "seed {seed}"
+        );
+        for _ in 0..2 {
+            assert!(
+                engine.process_frame(&frame).unwrap().cache_hit,
+                "seed {seed}"
+            );
+        }
+        measure.arm();
+        assert!(
+            engine.process_frame(&frame).unwrap().cache_hit,
+            "seed {seed}"
+        );
+        measure.wait_entered();
+
+        let report = engine.restore_from_reader(&mut &snapshot[..]).unwrap();
+        measure.open();
+        engine.quiesce_rebuilds();
+
+        assert_eq!(
+            engine.characteristic_generation(),
+            report.generation,
+            "seed {seed}: no rebuilt curve may land after the restore"
+        );
+        assert_eq!(engine.stats().recharacterizations, 0, "seed {seed}");
+        assert_eq!(engine.rebuild_panics(), 0, "seed {seed}");
+        let restored = engine.characteristic().unwrap();
+        let expected = canary.characteristic().unwrap();
+        assert_eq!(
+            restored.samples().len(),
+            expected.samples().len(),
+            "seed {seed}"
+        );
+        for (got, want) in restored.samples().iter().zip(expected.samples()) {
+            assert_eq!(got.dynamic_range, want.dynamic_range, "seed {seed}");
+            assert_eq!(
+                got.distortion.to_bits(),
+                want.distortion.to_bits(),
+                "seed {seed}: the restored class curve must survive"
+            );
+        }
     });
 }

@@ -79,6 +79,7 @@ fn full_rank_ladder_is_acquirable_in_declared_order() {
         OrderedMutex::new(LockClass::OpenLoopSlot, ()),
         OrderedMutex::new(LockClass::CacheShard, ()),
         OrderedMutex::new(LockClass::FlightTable, ()),
+        OrderedMutex::new(LockClass::RebuildThread, ()),
         OrderedMutex::new(LockClass::Stats, ()),
     ];
     let guards: Vec<_> = ladder

@@ -492,6 +492,9 @@ fn drift_injection_triggers_fallback_and_recharacterization() {
             result.outcome.distortion <= 0.10 + 1e-9,
             "the fallback must keep the contract under a lying curve"
         );
+        // Serve the next frame on whatever curve this serve's rebuild
+        // installs, so the run does not depend on thread timing.
+        engine.quiesce_rebuilds();
     }
 
     let stats = engine.stats();
@@ -620,6 +623,7 @@ fn stationary_rebuilds_do_not_wipe_the_cache() {
             "a no-op rebuild must not invalidate the cache"
         );
     }
+    engine.quiesce_rebuilds();
     assert_eq!(
         engine.characteristic_generation(),
         seeded,
@@ -674,6 +678,7 @@ fn open_loop_serves_windowed_measures_from_an_installed_curve() {
         let result = engine.process_frame(frame).unwrap();
         assert!(result.outcome.distortion <= 0.10 + 1e-9);
     }
+    engine.quiesce_rebuilds();
     let stats = engine.stats();
     assert_eq!(
         stats.recharacterizations, 0,
@@ -862,6 +867,7 @@ fn class_rebuild_invalidates_only_its_own_class() {
         // the class's own sketch replaces only the dark class's curve.
         let drifted = engine.process_frame(&dark).unwrap();
         assert!(drifted.outcome.distortion <= budget + 1e-9);
+        engine.quiesce_rebuilds();
         let stats = engine.stats();
         assert_eq!(stats.open_loop_fallbacks, 1, "the lying curve must drift");
         assert_eq!(
@@ -1257,4 +1263,103 @@ fn streaming_agrees_with_batching() {
         assert_eq!(s.index, b.index);
         assert_outcomes_bit_identical(&s.outcome, &b.outcome, &format!("frame {}", s.index));
     }
+}
+
+/// Global UIQI that panics on the `n`-th call after [`PanicOnCall::arm`],
+/// so a test can make exactly one characterization blow up mid-rebuild.
+#[derive(Debug, Clone, Default)]
+struct PanicOnCall {
+    countdown: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl PanicOnCall {
+    fn arm(&self, n: u64) {
+        self.countdown.store(n, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    fn tick(&self) {
+        use std::sync::atomic::Ordering;
+        let previous = self
+            .countdown
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
+            .unwrap_or(0);
+        assert_ne!(previous, 1, "injected measure panic");
+    }
+}
+
+impl hebs::quality::DistortionMeasure for PanicOnCall {
+    fn distortion(&self, original: &GrayImage, transformed: &GrayImage) -> f64 {
+        self.tick();
+        GlobalUiqiDistortion.distortion(original, transformed)
+    }
+
+    fn distortion_from_levels(&self, histogram: &Histogram, level_map: &[u8; 256]) -> Option<f64> {
+        self.tick();
+        GlobalUiqiDistortion.distortion_from_levels(histogram, level_map)
+    }
+
+    fn name(&self) -> &'static str {
+        "panic-on-call"
+    }
+}
+
+/// A characterization that panics on the background rebuild thread is
+/// contained there: it is counted, the claim is released, serving goes on
+/// off the installed curve, and the next due trigger rebuilds.
+#[test]
+fn a_panicking_rebuild_keeps_serving_and_rebuilds_on_the_next_trigger() {
+    let measure = PanicOnCall::default();
+    let engine = Engine::new(
+        HebsPolicy::closed_loop(PipelineConfig::default().with_measure(measure.clone())),
+        EngineConfig {
+            workers: 1,
+            max_distortion: 0.10,
+            cache: Some(CacheConfig::exact()),
+            mode: ServingMode::OpenLoop {
+                recharacterize: RecharacterizePolicy {
+                    interval: Some(4),
+                    drift_limit: None,
+                    sample_period: 1,
+                    min_swap_delta: 0.0,
+                    ..RecharacterizePolicy::default()
+                },
+            },
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let frames: Vec<GrayImage> = SipiSuite::with_size(32)
+        .iter()
+        .take(4)
+        .map(|(_, img)| img.clone())
+        .collect();
+    let installed = engine
+        .install_characteristic(characterize(&frames))
+        .unwrap();
+
+    // One miss, then exact hits (which never call the measure) up to the
+    // 4-frame interval: the 4th serve claims the rebuild, whose third
+    // measure call panics on the rebuild thread.
+    assert!(!engine.process_frame(&frames[0]).unwrap().cache_hit);
+    for _ in 0..2 {
+        assert!(engine.process_frame(&frames[0]).unwrap().cache_hit);
+    }
+    measure.arm(3);
+    assert!(engine.process_frame(&frames[0]).unwrap().cache_hit);
+    engine.quiesce_rebuilds();
+    assert_eq!(engine.rebuild_panics(), 1);
+    assert_eq!(engine.stats().recharacterizations, 0);
+    assert_eq!(engine.characteristic_generation(), installed);
+
+    // Serving continues off the old curve, and the trigger the panicked
+    // rebuild never consumed is still due: this serve rebuilds.
+    let result = engine.process_frame(&frames[1]).unwrap();
+    assert!(result.outcome.distortion <= 0.10 + 1e-9);
+    engine.quiesce_rebuilds();
+    assert_eq!(engine.rebuild_panics(), 1);
+    assert_eq!(engine.stats().recharacterizations, 1);
+    assert!(engine.characteristic_generation() > installed);
+    assert_eq!(engine.stats().poison_recoveries, 0);
 }
