@@ -6,7 +6,9 @@
 //! by a same-crate call-name closure: every `name(` / `recv.name(` /
 //! `Type::name(` site inside a hot function pulls in the crate's
 //! functions of that name (restricted to the `impl Type` block when the
-//! call is qualified). A function annotated `// lint: cold-path` stops
+//! call is qualified; `Self::name(` means the caller's own impl, and a
+//! qualifier that is a trait or a generic parameter — `M::name(` — is
+//! resolved by the name alone). A function annotated `// lint: cold-path` stops
 //! the expansion — that is how the single-flight recharacterization
 //! entry, which legitimately allocates while rebuilding a bank off the
 //! serve path, is kept out of the hot set.
@@ -82,6 +84,15 @@ fn run_crate(workspace: &Workspace, crate_name: &str, sink: &mut Sink<'_>) {
     if roots.is_empty() {
         return;
     }
+    let impls: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|file| file.lexed.functions())
+        .filter_map(|item| item.qualifier.as_deref())
+        .collect();
+    let mut abstract_names: BTreeSet<&str> = BTreeSet::new();
+    for file in &files {
+        collect_abstract_names(file, &mut abstract_names);
+    }
 
     let item = |r: FnRef| -> &FnItem { &files[r.0].lexed.functions()[r.1] };
     let is_cold = |r: FnRef| -> bool {
@@ -106,6 +117,14 @@ fn run_crate(workspace: &Workspace, crate_name: &str, sink: &mut Sink<'_>) {
             let Some(candidates) = by_name.get(callee.as_str()) else {
                 continue;
             };
+            let qualifier = match qualifier.as_deref() {
+                // `Self::f` calls into the caller's own impl.
+                Some("Self") => item(current).qualifier.clone(),
+                // `M::f` or `Trait::f` names no concrete impl of the crate:
+                // the callee is whichever same-named function implements it.
+                Some(q) if !impls.contains(q) && abstract_names.contains(q) => None,
+                _ => qualifier,
+            };
             for &target in candidates {
                 if let Some(q) = &qualifier {
                     if item(target).qualifier.as_deref() != Some(q.as_str()) {
@@ -125,6 +144,50 @@ fn run_crate(workspace: &Workspace, crate_name: &str, sink: &mut Sink<'_>) {
     ordered.sort_by_key(|(r, _)| **r);
     for (&(fi, gi), root) in ordered {
         check_fn(files[fi], &files[fi].lexed.functions()[gi], root, sink);
+    }
+}
+
+/// Collects the names a qualified call can use for something other than a
+/// concrete type: declared traits, and the generic parameters of `fn` and
+/// `impl` items. An external type (`Arc::new`) is neither, so its calls
+/// still reach no function of the crate.
+fn collect_abstract_names<'a>(file: &'a SourceFile, names: &mut BTreeSet<&'a str>) {
+    let lexed = &file.lexed;
+    let n = lexed.code_len();
+    let text = |ci: usize| lexed.code_tok(ci).text.as_str();
+    let is_ident = |ci: usize| ci < n && lexed.code_tok(ci).kind == TokenKind::Ident;
+    for ci in 0..n {
+        if !is_ident(ci) {
+            continue;
+        }
+        let open = match text(ci) {
+            "trait" if is_ident(ci + 1) => {
+                names.insert(text(ci + 1));
+                continue;
+            }
+            "impl" => ci + 1,
+            "fn" => ci + 2,
+            _ => continue,
+        };
+        if open >= n || text(open) != "<" {
+            continue;
+        }
+        let mut depth = 0usize;
+        for at in open..n {
+            match text(at) {
+                "<" => depth += 1,
+                ">" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                name if depth == 1 && is_ident(at) && matches!(text(at - 1), "<" | ",") => {
+                    names.insert(name);
+                }
+                _ => {}
+            }
+        }
     }
 }
 

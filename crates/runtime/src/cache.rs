@@ -31,6 +31,12 @@
 //! in entries and in resident bytes. A per-key single-flight table
 //! ([`FlightTable`]) collapses N concurrent misses on the same key into one
 //! fit plus N−1 waiters.
+//!
+//! Both modes are one [`KeyedCache`] (store, flights, band width) over a
+//! [`KeyedMode`]: [`ExactMode`] and [`ApproximateMode`] hold everything the
+//! modes differ in — the key's content identity, the hit check, the stored
+//! entry with its weight, and the snapshot spill record — while the serve
+//! flow, spill and restore are written once over the trait.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -41,8 +47,18 @@ use std::time::{Duration, Instant};
 
 use hebs_analysis::{interleave, lock_healthy, LockClass, OrderedCondvar, OrderedMutex};
 
-use hebs_core::{FrameTransform, ScalingOutcome};
-use hebs_imaging::{GrayImage, Histogram, HistogramSignature, DEFAULT_SIGNATURE_RESOLUTION};
+use hebs_core::{
+    FitScratch, FrameTransform, HebsError, HebsPolicy, PipelineConfig, PowerBreakdown,
+    ScalingOutcome, TargetRange,
+};
+use hebs_imaging::{
+    frame_hash128, GrayImage, Histogram, HistogramSignature, DEFAULT_SIGNATURE_RESOLUTION,
+};
+use hebs_transform::{ControlPoint, LookupTable, PiecewiseLinear};
+
+use crate::snapshot::{
+    ApproxSpill, CacheRecord, ExactSpill, OutcomeRecord, SpillRecord, SpilledEntries,
+};
 
 /// Default cap on resident cache bytes (64 MiB across all shards).
 pub const DEFAULT_BYTE_BUDGET: usize = 64 << 20;
@@ -146,8 +162,9 @@ pub(crate) fn budget_band(max_distortion: f64, band_width: f64) -> u32 {
 
 // The 128-bit exact-key content hash lives in `hebs_imaging::frame_hash128`
 // since the fused-ingest refactor: the serve path computes it inside
-// `FrameIngest`'s single pass and hands the finished value to
-// `ExactKey::of`, so the cache layer never walks a pixel buffer.
+// `FrameIngest`'s single pass and hands the finished value to the key
+// through `Request::content_hash`, so the cache layer never walks a pixel
+// buffer.
 
 /// One stored entry: the value plus its recency tick, insertion generation
 /// (see [`ShardedLru::reject`]), byte weight, owning tenant and insertion
@@ -726,82 +743,280 @@ impl<K: Hash + Eq + Clone> Drop for FlightGuard<'_, K> {
     }
 }
 
-/// Exact-mode key: frame shape, 128-bit content hash, budget band, the
+/// A cache key: frame shape, the mode's content identity (a 128-bit
+/// content hash or a quantized histogram signature), budget band, the
 /// owning tenant, the content class the frame routed to and the class's
 /// characteristic generation the fit was made under.
 ///
-/// The hash is [`hebs_imaging::frame_hash128`], computed by the serve
+/// The exact hash is [`hebs_imaging::frame_hash128`], computed by the serve
 /// path's fused `FrameIngest` pass and passed in precomputed — building a
-/// key walks no pixels. The stored entry keeps the frame bytes so every
+/// key walks no pixels; the stored entry keeps the frame bytes so every
 /// hit is verified against the actual content (a collision is rejected,
-/// never served). The
-/// `(class, generation)` pair (both 0 in closed-loop mode) makes every
-/// open-loop re-characterization an implicit invalidation *scoped to its
-/// class*: a rebuilt class's fits are never probed again and age out of the
-/// LRU, while every other class's fits keep serving. The tenant id (0
-/// outside multi-tenant serving) keeps tenants' fits disjoint even when
-/// their generation counters collide, so no cross-tenant replay is
-/// possible on a shared cache.
+/// never served). The `(class, generation)` pair (both 0 in closed-loop
+/// mode) makes every open-loop re-characterization an implicit
+/// invalidation *scoped to its class*: a rebuilt class's fits are never
+/// probed again and age out of the LRU, while every other class's fits
+/// keep serving. The tenant id (0 outside multi-tenant serving) keeps
+/// tenants' fits disjoint even when their generation counters collide, so
+/// no cross-tenant replay is possible on a shared cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ExactKey {
-    width: u32,
-    height: u32,
-    content_hash: u128,
-    budget_band: u32,
-    tenant: u16,
-    class: u16,
-    generation: u64,
+pub(crate) struct CacheKey<C> {
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) content: C,
+    pub(crate) budget_band: u32,
+    pub(crate) tenant: u16,
+    pub(crate) class: u16,
+    pub(crate) generation: u64,
 }
 
-impl ExactKey {
-    pub(crate) fn of(
+/// What one serve asks of a keyed cache: the frame with its fused-ingest
+/// products, the requesting budget, and the key's tenant, class and
+/// generation.
+pub(crate) struct Request<'a> {
+    pub(crate) frame: &'a GrayImage,
+    pub(crate) histogram: &'a Histogram,
+    pub(crate) content_hash: u128,
+    pub(crate) budget: f64,
+    pub(crate) tenant: u16,
+    pub(crate) class: u16,
+    pub(crate) generation: u64,
+}
+
+/// What distinguishes the exact and approximate caches: the key's content,
+/// the hit check, the stored value with its weight, and the spill record.
+/// The serve flow (`EngineInner::serve_keyed`) and [`KeyedCache`]'s spill
+/// and restore are written once over this trait and monomorphized per
+/// mode, so neither path dispatches dynamically.
+pub(crate) trait KeyedMode {
+    /// The content identity a key carries.
+    type Content: Copy + Eq + Hash + std::fmt::Debug;
+    /// The stored value, cloned out of the store on a probe.
+    type Value: Clone + std::fmt::Debug;
+    /// The mode-specific part of a spilled entry.
+    type Spill;
+
+    /// The content identity of the requested frame.
+    fn content(&self, request: &Request<'_>) -> Self::Content;
+
+    /// The hit check: `Ok(Some)` serves the returned outcome, `Ok(None)`
+    /// rejects the probed value, `Err` rejects it and fails the serve.
+    fn check(
+        &self,
+        value: Self::Value,
+        request: &Request<'_>,
+        policy: &HebsPolicy,
+        scratch: &mut FitScratch,
+    ) -> Result<Option<Arc<ScalingOutcome>>, HebsError>;
+
+    /// The value a fresh fit of `frame` stores.
+    fn entry(
         frame: &GrayImage,
-        content_hash: u128,
-        budget_band: u32,
-        tenant: u16,
-        class: u16,
-        generation: u64,
-    ) -> Self {
-        ExactKey {
-            width: frame.width(),
-            height: frame.height(),
-            content_hash,
-            budget_band,
-            tenant,
-            class,
-            generation,
+        outcome: &Arc<ScalingOutcome>,
+        transform: &Arc<FrameTransform>,
+    ) -> Self::Value;
+
+    /// Bytes `value` charges against the cache budget.
+    fn weight(value: &Self::Value) -> usize;
+
+    /// The spill record of one stored entry.
+    fn spill(content: &Self::Content, value: &Self::Value) -> Self::Spill;
+
+    /// Rebuilds a spilled entry's content and value for a `width`×`height`
+    /// frame; `None` skips an entry its validated constructors refuse.
+    fn restore(
+        &self,
+        width: u32,
+        height: u32,
+        spill: Self::Spill,
+        config: &PipelineConfig,
+    ) -> Option<(Self::Content, Self::Value)>;
+
+    /// Wraps this cache's spilled entries for the snapshot.
+    fn spilled(&self, entries: Vec<SpillRecord<Self::Spill>>) -> SpilledEntries;
+
+    /// This mode's entries from a snapshot, or `None` when another mode or
+    /// key shape wrote them.
+    fn adopt(&self, entries: SpilledEntries) -> Option<Vec<SpillRecord<Self::Spill>>>;
+}
+
+/// Exact mode: keys on the frame's content hash; a hit is the stored
+/// frame verified byte for byte, replaying the shared outcome.
+#[derive(Debug)]
+pub(crate) struct ExactMode {
+    /// Per-cache hash seed, drawn at random so exact-key collisions cannot
+    /// be precomputed by adversarial frame content.
+    pub(crate) seed: u64,
+}
+
+impl KeyedMode for ExactMode {
+    type Content = u128;
+    type Value = ExactEntry;
+    type Spill = ExactSpill;
+
+    fn content(&self, request: &Request<'_>) -> u128 {
+        request.content_hash
+    }
+
+    /// One memcmp and a distortion compare: no allocation, no pixel
+    /// traversal, and the returned outcome is the cached `Arc`.
+    fn check(
+        &self,
+        value: ExactEntry,
+        request: &Request<'_>,
+        _policy: &HebsPolicy,
+        _scratch: &mut FitScratch,
+    ) -> Result<Option<Arc<ScalingOutcome>>, HebsError> {
+        Ok(
+            (value.matches(request.frame) && value.outcome.distortion <= request.budget)
+                .then_some(value.outcome),
+        )
+    }
+
+    fn entry(
+        frame: &GrayImage,
+        outcome: &Arc<ScalingOutcome>,
+        _transform: &Arc<FrameTransform>,
+    ) -> ExactEntry {
+        ExactEntry::new(frame, Arc::clone(outcome))
+    }
+
+    fn weight(value: &ExactEntry) -> usize {
+        value.weight()
+    }
+
+    fn spill(_content: &u128, value: &ExactEntry) -> ExactSpill {
+        ExactSpill {
+            pixels: value.pixels.to_vec(),
+            outcome: outcome_record(&value.outcome),
         }
     }
 
-    /// Stored frame width (for snapshot spill).
-    pub(crate) fn width(&self) -> u32 {
-        self.width
+    fn restore(
+        &self,
+        width: u32,
+        height: u32,
+        spill: ExactSpill,
+        _config: &PipelineConfig,
+    ) -> Option<(u128, ExactEntry)> {
+        let frame = GrayImage::from_raw(width, height, spill.pixels).ok()?;
+        let outcome = rebuild_outcome(spill.outcome)?;
+        // Stored content hashes are not portable (the hash seed is random
+        // per cache instance); recompute under ours.
+        Some((
+            frame_hash128(&frame, self.seed),
+            ExactEntry::new(&frame, Arc::new(outcome)),
+        ))
     }
 
-    /// Stored frame height (for snapshot spill).
-    pub(crate) fn height(&self) -> u32 {
-        self.height
+    fn spilled(&self, entries: Vec<SpillRecord<ExactSpill>>) -> SpilledEntries {
+        SpilledEntries::Exact(entries)
     }
 
-    /// Quantized budget band the fit was made for (for snapshot spill).
-    pub(crate) fn budget_band(&self) -> u32 {
-        self.budget_band
+    fn adopt(&self, entries: SpilledEntries) -> Option<Vec<SpillRecord<ExactSpill>>> {
+        match entries {
+            SpilledEntries::Exact(entries) => Some(entries),
+            SpilledEntries::Approximate { .. } => None,
+        }
+    }
+}
+
+/// Approximate mode: keys on the quantized histogram signature; a hit
+/// replays the cached transform on the actual frame and serves it only
+/// within the requesting budget.
+#[derive(Debug)]
+pub(crate) struct ApproximateMode {
+    /// Signature quantization resolution.
+    pub(crate) resolution: u8,
+}
+
+impl KeyedMode for ApproximateMode {
+    type Content = HistogramSignature;
+    type Value = Arc<FrameTransform>;
+    type Spill = ApproxSpill;
+
+    fn content(&self, request: &Request<'_>) -> HistogramSignature {
+        HistogramSignature::with_resolution(request.histogram, self.resolution)
     }
 
-    /// Content class the frame routed to (for snapshot spill).
-    pub(crate) fn class(&self) -> u16 {
-        self.class
+    /// Re-applies the transform, revalidating in the histogram domain when
+    /// the measure allows (a rejected candidate then never touches a
+    /// pixel); an apply failure surfaces as `Err`.
+    fn check(
+        &self,
+        value: Arc<FrameTransform>,
+        request: &Request<'_>,
+        policy: &HebsPolicy,
+        scratch: &mut FitScratch,
+    ) -> Result<Option<Arc<ScalingOutcome>>, HebsError> {
+        policy
+            .replay_frame_transform_with_scratch(
+                request.frame,
+                request.histogram,
+                &value,
+                request.budget,
+                scratch,
+            )
+            .map(|outcome| outcome.map(Arc::new))
     }
 
-    /// Owning tenant (for snapshot spill filtering).
-    pub(crate) fn tenant(&self) -> u16 {
-        self.tenant
+    fn entry(
+        _frame: &GrayImage,
+        _outcome: &Arc<ScalingOutcome>,
+        transform: &Arc<FrameTransform>,
+    ) -> Arc<FrameTransform> {
+        Arc::clone(transform)
     }
 
-    /// Characteristic generation the fit was made under (for snapshot
-    /// spill filtering — only current-generation fits are worth carrying).
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
+    /// Its control points, the LUT and the struct itself (whose fused
+    /// display response is stored inline).
+    fn weight(value: &Arc<FrameTransform>) -> usize {
+        std::mem::size_of_val(value.curve.points()) + 256 + std::mem::size_of::<FrameTransform>()
+    }
+
+    fn spill(content: &HistogramSignature, value: &Arc<FrameTransform>) -> ApproxSpill {
+        ApproxSpill {
+            signature: *content.bins(),
+            target_min: value.target.g_min(),
+            target_max: value.target.g_max(),
+            beta: value.beta,
+            blend_weight: value.blend_weight,
+            points: value.curve.points().iter().map(|p| (p.x, p.y)).collect(),
+            lut: *value.lut.entries(),
+        }
+    }
+
+    /// The signature is carried verbatim rather than recomputed: the
+    /// spilled transform, not a frame, is what is restored.
+    fn restore(
+        &self,
+        _width: u32,
+        _height: u32,
+        spill: ApproxSpill,
+        config: &PipelineConfig,
+    ) -> Option<(HistogramSignature, Arc<FrameTransform>)> {
+        let transform = rebuild_transform(config, &spill)?;
+        Some((
+            HistogramSignature::from_bins(spill.signature),
+            Arc::new(transform),
+        ))
+    }
+
+    fn spilled(&self, entries: Vec<SpillRecord<ApproxSpill>>) -> SpilledEntries {
+        SpilledEntries::Approximate {
+            resolution: self.resolution,
+            entries,
+        }
+    }
+
+    fn adopt(&self, entries: SpilledEntries) -> Option<Vec<SpillRecord<ApproxSpill>>> {
+        match entries {
+            SpilledEntries::Approximate {
+                resolution,
+                entries,
+            } if resolution == self.resolution => Some(entries),
+            _ => None,
+        }
     }
 }
 
@@ -810,11 +1025,11 @@ impl ExactKey {
 #[derive(Debug, Clone)]
 pub(crate) struct ExactEntry {
     pixels: Arc<[u8]>,
-    pub(crate) outcome: Arc<ScalingOutcome>,
+    outcome: Arc<ScalingOutcome>,
 }
 
 impl ExactEntry {
-    pub(crate) fn new(frame: &GrayImage, outcome: Arc<ScalingOutcome>) -> Self {
+    fn new(frame: &GrayImage, outcome: Arc<ScalingOutcome>) -> Self {
         ExactEntry {
             pixels: frame.as_raw().into(),
             outcome,
@@ -823,150 +1038,196 @@ impl ExactEntry {
 
     /// Whether the stored frame is byte-identical to `frame` (hash-collision
     /// guard on the hit path; one memcmp, no allocation).
-    pub(crate) fn matches(&self, frame: &GrayImage) -> bool {
+    fn matches(&self, frame: &GrayImage) -> bool {
         self.pixels[..] == *frame.as_raw()
     }
 
-    /// The stored frame bytes (for snapshot spill).
-    pub(crate) fn pixels(&self) -> &[u8] {
-        &self.pixels
-    }
-
     /// Bytes this entry charges against the cache budget: stored pixels,
-    /// displayed image, LUT, and fixed struct overhead.
-    pub(crate) fn weight(&self) -> usize {
-        self.pixels.len() + outcome_bytes(&self.outcome) + std::mem::size_of::<Self>()
+    /// the outcome's displayed image, LUT and policy name, and fixed struct
+    /// overhead.
+    fn weight(&self) -> usize {
+        let outcome = &self.outcome;
+        self.pixels.len()
+            + outcome.displayed.pixel_count()
+            + 256
+            + outcome.policy.len()
+            + std::mem::size_of::<ScalingOutcome>()
+            + std::mem::size_of::<Self>()
     }
 }
 
-/// Bytes a cached outcome holds resident: the displayed image, the LUT, the
-/// policy name and the struct itself.
-pub(crate) fn outcome_bytes(outcome: &ScalingOutcome) -> usize {
-    outcome.displayed.pixel_count()
-        + 256
-        + outcome.policy.len()
-        + std::mem::size_of::<ScalingOutcome>()
+/// Flattens a cached outcome into its serializable snapshot record.
+fn outcome_record(outcome: &ScalingOutcome) -> OutcomeRecord {
+    OutcomeRecord {
+        policy: outcome.policy.clone(),
+        beta: outcome.beta,
+        dynamic_range: outcome.dynamic_range,
+        distortion: outcome.distortion,
+        power: [
+            outcome.power.ccfl,
+            outcome.power.panel,
+            outcome.power.controller,
+            outcome.power.beta,
+        ],
+        power_saving: outcome.power_saving,
+        lut: *outcome.lut.entries(),
+        displayed_width: outcome.displayed.width(),
+        displayed_height: outcome.displayed.height(),
+        displayed: outcome.displayed.as_raw().to_vec(),
+        fit_evaluations: outcome.fit_evaluations,
+    }
 }
 
-/// Bytes a cached transform holds resident: its control points, the LUT
-/// and the struct itself (whose fused display response is stored inline).
-pub(crate) fn transform_bytes(transform: &FrameTransform) -> usize {
-    std::mem::size_of_val(transform.curve.points()) + 256 + std::mem::size_of::<FrameTransform>()
+/// Rebuilds a [`ScalingOutcome`] from its spilled record; `None` when the
+/// record's displayed frame is inconsistent (the entry is then skipped).
+fn rebuild_outcome(record: OutcomeRecord) -> Option<ScalingOutcome> {
+    let displayed = GrayImage::from_raw(
+        record.displayed_width,
+        record.displayed_height,
+        record.displayed,
+    )
+    .ok()?;
+    Some(ScalingOutcome {
+        policy: record.policy,
+        beta: record.beta,
+        dynamic_range: record.dynamic_range,
+        distortion: record.distortion,
+        power: PowerBreakdown {
+            ccfl: record.power[0],
+            panel: record.power[1],
+            controller: record.power[2],
+            beta: record.power[3],
+        },
+        power_saving: record.power_saving,
+        lut: LookupTable::from_entries(record.lut),
+        displayed,
+        fit_evaluations: record.fit_evaluations,
+    })
 }
 
-/// Approximate-mode key: the quantized histogram signature plus frame
-/// shape, budget band, owning tenant, content class and the class's
-/// characteristic generation (see [`ExactKey`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SignatureKey {
-    width: u32,
-    height: u32,
-    signature: HistogramSignature,
-    budget_band: u32,
-    tenant: u16,
-    class: u16,
-    generation: u64,
+/// Rebuilds a [`FrameTransform`] from its spilled parts, recomposing the
+/// fused display response through the pipeline's subsystem model; `None`
+/// when any part is rejected by its validated constructor.
+fn rebuild_transform(config: &PipelineConfig, spill: &ApproxSpill) -> Option<FrameTransform> {
+    let target = TargetRange::new(spill.target_min, spill.target_max).ok()?;
+    let points = spill
+        .points
+        .iter()
+        .map(|&(x, y)| ControlPoint::new(x, y))
+        .collect();
+    let curve = PiecewiseLinear::new(points).ok()?;
+    let lut = LookupTable::from_entries(spill.lut);
+    FrameTransform::from_parts(config, target, spill.beta, spill.blend_weight, curve, lut).ok()
 }
 
-impl SignatureKey {
-    pub(crate) fn of(
-        frame: &GrayImage,
-        histogram: &Histogram,
-        resolution: u8,
-        budget_band: u32,
-        tenant: u16,
-        class: u16,
-        generation: u64,
-    ) -> Self {
-        SignatureKey {
-            width: frame.width(),
-            height: frame.height(),
-            signature: HistogramSignature::with_resolution(histogram, resolution),
-            budget_band,
-            tenant,
-            class,
-            generation,
+/// A keyed transformation cache: the store, its single-flight table, the
+/// budget-band width and the mode that keys and checks its entries.
+#[derive(Debug)]
+pub(crate) struct KeyedCache<M: KeyedMode> {
+    pub(crate) store: ShardedLru<CacheKey<M::Content>, M::Value>,
+    pub(crate) flights: FlightTable<CacheKey<M::Content>>,
+    band_width: f64,
+    pub(crate) mode: M,
+}
+
+impl<M: KeyedMode> KeyedCache<M> {
+    fn new(config: &CacheConfig, mode: M) -> Self {
+        KeyedCache {
+            store: ShardedLru::bounded(
+                config.capacity,
+                config.shards,
+                config.byte_budget.unwrap_or(usize::MAX),
+                config.ttl,
+            ),
+            flights: FlightTable::new(config.shards),
+            band_width: config.budget_band_width,
+            mode,
         }
     }
 
-    /// Rebuilds a key from its spilled parts (the snapshot restore path;
-    /// the signature is carried verbatim rather than recomputed because the
-    /// spilled transform, not the frame, is what is being restored).
-    pub(crate) fn from_parts(
-        width: u32,
-        height: u32,
-        signature: HistogramSignature,
-        budget_band: u32,
-        tenant: u16,
-        class: u16,
-        generation: u64,
-    ) -> Self {
-        SignatureKey {
-            width,
-            height,
-            signature,
-            budget_band,
-            tenant,
-            class,
-            generation,
+    /// The key `request` probes.
+    pub(crate) fn key(&self, request: &Request<'_>) -> CacheKey<M::Content> {
+        CacheKey {
+            width: request.frame.width(),
+            height: request.frame.height(),
+            content: self.mode.content(request),
+            budget_band: budget_band(request.budget, self.band_width),
+            tenant: request.tenant,
+            class: request.class,
+            generation: request.generation,
         }
     }
 
-    /// Keyed frame width (for snapshot spill).
-    pub(crate) fn width(&self) -> u32 {
-        self.width
+    /// The `top_k` most recently used entries that belong to `tenant` and
+    /// whose `(class, generation)` is `live`, as a snapshot cache section.
+    pub(crate) fn spill(
+        &self,
+        top_k: usize,
+        tenant: u16,
+        live: impl Fn(u16, u64) -> bool,
+    ) -> CacheRecord {
+        let entries = self
+            .store
+            .recent_entries(top_k)
+            .into_iter()
+            .filter(|(key, _)| key.tenant == tenant && live(key.class, key.generation))
+            .map(|(key, value)| SpillRecord {
+                width: key.width,
+                height: key.height,
+                budget_band: key.budget_band,
+                class: key.class,
+                body: M::spill(&key.content, &value),
+            })
+            .collect();
+        CacheRecord {
+            band_width: self.band_width,
+            entries: self.mode.spilled(entries),
+        }
     }
 
-    /// Keyed frame height (for snapshot spill).
-    pub(crate) fn height(&self) -> u32 {
-        self.height
+    /// Re-admits spilled entries through the normal insert path, charged
+    /// to `tenant` and keyed under the generation `generation` reports for
+    /// their class (an unknown class skips the entry). Returns
+    /// `(restored, skipped)`; a snapshot of another mode, signature
+    /// resolution or band width is skipped whole.
+    pub(crate) fn restore(
+        &self,
+        record: CacheRecord,
+        tenant: u16,
+        generation: impl Fn(u16) -> Option<u64>,
+        config: &PipelineConfig,
+    ) -> (usize, usize) {
+        let total = record.entries.len();
+        let entries = match self.mode.adopt(record.entries) {
+            Some(entries) if record.band_width.to_bits() == self.band_width.to_bits() => entries,
+            _ => return (0, total),
+        };
+        let mut restored = 0;
+        for entry in entries {
+            let Some(generation) = generation(entry.class) else {
+                continue;
+            };
+            let Some((content, value)) =
+                self.mode
+                    .restore(entry.width, entry.height, entry.body, config)
+            else {
+                continue;
+            };
+            let key = CacheKey {
+                width: entry.width,
+                height: entry.height,
+                content,
+                budget_band: entry.budget_band,
+                tenant,
+                class: entry.class,
+                generation,
+            };
+            let weight = M::weight(&value);
+            self.store.insert_for(tenant, key, value, weight);
+            restored += 1;
+        }
+        (restored, total - restored)
     }
-
-    /// The quantized histogram signature (for snapshot spill).
-    pub(crate) fn signature(&self) -> &HistogramSignature {
-        &self.signature
-    }
-
-    /// Quantized budget band the fit was made for (for snapshot spill).
-    pub(crate) fn budget_band(&self) -> u32 {
-        self.budget_band
-    }
-
-    /// Content class the frame routed to (for snapshot spill).
-    pub(crate) fn class(&self) -> u16 {
-        self.class
-    }
-
-    /// Owning tenant (for snapshot spill filtering).
-    pub(crate) fn tenant(&self) -> u16 {
-        self.tenant
-    }
-
-    /// Characteristic generation the fit was made under (for snapshot
-    /// spill filtering — only current-generation fits are worth carrying).
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-/// The exact-mode cache: store, single-flight table, hash seed and band
-/// width.
-#[derive(Debug)]
-pub(crate) struct ExactCache {
-    pub(crate) store: ShardedLru<ExactKey, ExactEntry>,
-    pub(crate) flights: FlightTable<ExactKey>,
-    pub(crate) seed: u64,
-    pub(crate) band_width: f64,
-}
-
-/// The approximate-mode cache: store, single-flight table, signature
-/// resolution and band width.
-#[derive(Debug)]
-pub(crate) struct ApproximateCache {
-    pub(crate) store: ShardedLru<SignatureKey, Arc<FrameTransform>>,
-    pub(crate) flights: FlightTable<SignatureKey>,
-    pub(crate) resolution: u8,
-    pub(crate) band_width: f64,
 }
 
 /// The served-lookup counters of a transformation cache's underlying
@@ -991,93 +1252,77 @@ pub struct CacheCounters {
 /// The engine's transformation cache in one of its two keying modes.
 #[derive(Debug)]
 pub(crate) enum TransformCache {
-    Exact(ExactCache),
-    Approximate(ApproximateCache),
+    Exact(KeyedCache<ExactMode>),
+    Approximate(KeyedCache<ApproximateMode>),
 }
+
+/// Evaluates `$body` with `$keyed` bound to whichever [`KeyedCache`] a
+/// [`TransformCache`] holds: one expression, monomorphized per mode.
+macro_rules! with_keyed {
+    ($cache:expr, $keyed:ident => $body:expr) => {
+        match $cache {
+            $crate::cache::TransformCache::Exact($keyed) => $body,
+            $crate::cache::TransformCache::Approximate($keyed) => $body,
+        }
+    };
+}
+pub(crate) use with_keyed;
 
 impl TransformCache {
     pub(crate) fn new(config: &CacheConfig) -> Self {
-        let byte_budget = config.byte_budget.unwrap_or(usize::MAX);
         match config.mode {
-            CacheMode::Exact => TransformCache::Exact(ExactCache {
-                store: ShardedLru::bounded(config.capacity, config.shards, byte_budget, config.ttl),
-                flights: FlightTable::new(config.shards),
-                // Random per cache so exact-key collisions cannot be
-                // precomputed by adversarial frame content.
-                seed: RandomState::new().hash_one(0x4845_4253u32),
-                band_width: config.budget_band_width,
-            }),
-            CacheMode::Approximate => TransformCache::Approximate(ApproximateCache {
-                store: ShardedLru::bounded(config.capacity, config.shards, byte_budget, config.ttl),
-                flights: FlightTable::new(config.shards),
-                resolution: config.signature_resolution,
-                band_width: config.budget_band_width,
-            }),
+            CacheMode::Exact => TransformCache::Exact(KeyedCache::new(
+                config,
+                ExactMode {
+                    seed: RandomState::new().hash_one(0x4845_4253u32),
+                },
+            )),
+            CacheMode::Approximate => TransformCache::Approximate(KeyedCache::new(
+                config,
+                ApproximateMode {
+                    resolution: config.signature_resolution,
+                },
+            )),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        match self {
-            TransformCache::Exact(cache) => cache.store.len(),
-            TransformCache::Approximate(cache) => cache.store.len(),
-        }
+        with_keyed!(self, keyed => keyed.store.len())
     }
 
     /// Resident bytes currently charged across all shards.
     pub(crate) fn bytes(&self) -> usize {
-        match self {
-            TransformCache::Exact(cache) => cache.store.bytes(),
-            TransformCache::Approximate(cache) => cache.store.bytes(),
-        }
+        with_keyed!(self, keyed => keyed.store.bytes())
     }
 
     /// Sets (or replaces) one tenant's byte partition (see
     /// [`ShardedLru::set_tenant_limit`]).
     pub(crate) fn set_tenant_limit(&self, tenant: u16, byte_limit: usize) {
-        match self {
-            TransformCache::Exact(cache) => cache.store.set_tenant_limit(tenant, byte_limit),
-            TransformCache::Approximate(cache) => cache.store.set_tenant_limit(tenant, byte_limit),
-        }
+        with_keyed!(self, keyed => keyed.store.set_tenant_limit(tenant, byte_limit));
     }
 
     /// Resident bytes currently charged to `tenant` across all shards.
     pub(crate) fn tenant_bytes(&self, tenant: u16) -> usize {
-        match self {
-            TransformCache::Exact(cache) => cache.store.tenant_bytes(tenant),
-            TransformCache::Approximate(cache) => cache.store.tenant_bytes(tenant),
-        }
+        with_keyed!(self, keyed => keyed.store.tenant_bytes(tenant))
     }
 
     /// Served hit/miss/rejection/coalesced counters of the underlying
     /// store (for reconciliation against `EngineStats`).
     pub(crate) fn counters(&self) -> CacheCounters {
-        match self {
-            TransformCache::Exact(cache) => CacheCounters {
-                hits: cache.store.hits(),
-                misses: cache.store.misses(),
-                rejections: cache.store.rejections(),
-                coalesced: cache.store.coalesced(),
-            },
-            TransformCache::Approximate(cache) => CacheCounters {
-                hits: cache.store.hits(),
-                misses: cache.store.misses(),
-                rejections: cache.store.rejections(),
-                coalesced: cache.store.coalesced(),
-            },
-        }
+        with_keyed!(self, keyed => CacheCounters {
+            hits: keyed.store.hits(),
+            misses: keyed.store.misses(),
+            rejections: keyed.store.rejections(),
+            coalesced: keyed.store.coalesced(),
+        })
     }
 
     /// Poisoned-lock recoveries performed inside the store and the
     /// single-flight table (summed into `EngineStats::poison_recoveries`).
     pub(crate) fn poison_recoveries(&self) -> u64 {
-        match self {
-            TransformCache::Exact(cache) => {
-                cache.store.poison_recoveries() + cache.flights.poison_recoveries()
-            }
-            TransformCache::Approximate(cache) => {
-                cache.store.poison_recoveries() + cache.flights.poison_recoveries()
-            }
-        }
+        with_keyed!(self, keyed => {
+            keyed.store.poison_recoveries() + keyed.flights.poison_recoveries()
+        })
     }
 }
 
@@ -1351,8 +1596,32 @@ mod tests {
         assert!(lru.hits() >= 4 * 200);
     }
 
-    /// Builds an exact key the way the serve path does: hash first (one
-    /// fused-ingest pass in production, `frame_hash128` here), then the key.
+    /// Builds a key the way the serve path does: the ingest's content hash
+    /// (one fused-ingest pass in production, `frame_hash128` here) and
+    /// histogram in a request, then the mode's key. Budget bands are 0.01
+    /// wide, so `band` selects the budget `band × 0.01 + 0.005`.
+    fn key_of<M: KeyedMode>(
+        mode: M,
+        frame: &GrayImage,
+        seed: u64,
+        band: u32,
+        tenant: u16,
+        class: u16,
+        generation: u64,
+    ) -> CacheKey<M::Content> {
+        let histogram = Histogram::of(frame);
+        let request = Request {
+            frame,
+            histogram: &histogram,
+            content_hash: frame_hash128(frame, seed),
+            budget: f64::from(band) * 0.01 + 0.005,
+            tenant,
+            class,
+            generation,
+        };
+        KeyedCache::new(&CacheConfig::default(), mode).key(&request)
+    }
+
     fn exact_key(
         frame: &GrayImage,
         seed: u64,
@@ -1360,11 +1629,29 @@ mod tests {
         tenant: u16,
         class: u16,
         generation: u64,
-    ) -> ExactKey {
-        ExactKey::of(
+    ) -> CacheKey<u128> {
+        key_of(
+            ExactMode { seed: 0 },
             frame,
-            hebs_imaging::frame_hash128(frame, seed),
+            seed,
             band,
+            tenant,
+            class,
+            generation,
+        )
+    }
+
+    fn signature_key(
+        frame: &GrayImage,
+        tenant: u16,
+        class: u16,
+        generation: u64,
+    ) -> CacheKey<HistogramSignature> {
+        key_of(
+            ApproximateMode { resolution: 16 },
+            frame,
+            0,
+            1,
             tenant,
             class,
             generation,
@@ -1431,23 +1718,23 @@ mod tests {
         let a = GrayImage::filled(16, 16, 100);
         let wide = GrayImage::filled(32, 8, 100);
         assert_ne!(
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 0, 0),
-            SignatureKey::of(&wide, &Histogram::of(&wide), 16, 1, 0, 0, 0),
+            signature_key(&a, 0, 0, 0),
+            signature_key(&wide, 0, 0, 0),
             "frame shape is part of the key"
         );
         assert_ne!(
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 0, 0),
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 0, 2),
+            signature_key(&a, 0, 0, 0),
+            signature_key(&a, 0, 0, 2),
             "characteristic generation is part of the key"
         );
         assert_ne!(
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 0, 0),
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 3, 0),
+            signature_key(&a, 0, 0, 0),
+            signature_key(&a, 0, 3, 0),
             "content class is part of the key"
         );
         assert_ne!(
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 0, 0, 0),
-            SignatureKey::of(&a, &Histogram::of(&a), 16, 1, 7, 0, 0),
+            signature_key(&a, 0, 0, 0),
+            signature_key(&a, 7, 0, 0),
             "tenant is part of the key"
         );
     }

@@ -13,6 +13,12 @@
 //! transformation cache, replay the cached fit on a hit, run the full HEBS
 //! policy on a miss and remember its fit. Per-frame latency and cache
 //! statistics are collected on the fly.
+//!
+//! Exact and approximate caches share one serve flow,
+//! `EngineInner::serve_keyed`, generic over the cache's
+//! [`KeyedMode`](crate::cache::KeyedMode): the mode supplies the key's
+//! content, the hit check and the entry to insert; probing, rejection,
+//! single flight, fitting and insertion are written once.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
@@ -29,25 +35,18 @@ use hebs_analysis::{interleave, lock_healthy, LockClass, OrderedMutex};
 
 use hebs_core::{
     evaluate_range_from_histogram, BankClass, CharacteristicBank, CharacterizationSample,
-    DistortionCharacteristic, FitScratch, FrameTransform, HebsError, HebsPolicy, PowerBreakdown,
-    ScalingOutcome, TargetRange,
+    DistortionCharacteristic, FitScratch, FrameTransform, HebsError, HebsPolicy, ScalingOutcome,
+    TargetRange,
 };
-use hebs_imaging::{
-    frame_hash128, FrameIngest, GrayImage, Histogram, HistogramSignature, SIGNATURE_BINS,
-};
-use hebs_transform::{ControlPoint, LookupTable, PiecewiseLinear};
+use hebs_imaging::{FrameIngest, GrayImage, Histogram, SIGNATURE_BINS};
 
-use crate::cache::{
-    budget_band, transform_bytes, ApproximateCache, CacheConfig, ExactCache, ExactEntry, ExactKey,
-    SignatureKey, TransformCache,
-};
+use crate::cache::{with_keyed, CacheConfig, KeyedCache, KeyedMode, Request, TransformCache};
 use crate::error::{Result, RuntimeError};
 use crate::serving::{
     CurveBank, CurveState, OpenLoopState, RebuildClaim, RebuildPlan, Replace, ServingMode,
 };
 use crate::snapshot::{
-    self, ApproxSpillRecord, BankRecord, CacheRecord, ClassRecord, ExactSpillRecord, OutcomeRecord,
-    RestoreReport, SampleRecord, SnapshotError,
+    self, BankRecord, CacheRecord, ClassRecord, RestoreReport, SampleRecord, SnapshotError,
 };
 use crate::stats::{EngineStats, ServeKind, StatsCollector};
 
@@ -283,14 +282,22 @@ struct Served {
     histogram: Histogram,
 }
 
-/// One completed fit: the outcome, its reusable transform, and whether it
-/// came from the open-loop drift fallback (or skipped that fallback because
-/// the serve was past its deadline).
+/// One completed fit: the shared outcome, its reusable transform, the
+/// candidate evaluations it ran, and whether it came from the open-loop
+/// drift fallback (or skipped that fallback because the serve was past its
+/// deadline).
 struct Fitted {
-    outcome: ScalingOutcome,
+    outcome: Arc<ScalingOutcome>,
     transform: Arc<FrameTransform>,
+    fit_evaluations: u64,
     open_loop_fallback: bool,
     deadline_degraded: bool,
+}
+
+/// How a serve obtained its outcome: replayed from the cache, or fitted.
+enum Reply {
+    Replayed(Arc<ScalingOutcome>),
+    Fitted(Fitted),
 }
 
 impl EngineInner {
@@ -325,68 +332,61 @@ impl EngineInner {
     /// drift).
     fn fit(
         &self,
-        frame: &GrayImage,
-        histogram: &Histogram,
-        budget: f64,
+        request: &Request<'_>,
         curve: Option<&Arc<CurveState>>,
         deadline: Option<Instant>,
         scratch: &mut FitScratch,
     ) -> std::result::Result<Fitted, HebsError> {
-        if let Some(curve) = curve {
-            let (outcome, transform) = curve
+        let Request {
+            frame,
+            histogram,
+            budget,
+            ..
+        } = *request;
+        let fitted = |(outcome, transform): (ScalingOutcome, _), fallback, degraded| Fitted {
+            fit_evaluations: u64::from(outcome.fit_evaluations),
+            outcome: Arc::new(outcome),
+            transform,
+            open_loop_fallback: fallback,
+            deadline_degraded: degraded,
+        };
+        let Some(curve) = curve else {
+            let fit = self
                 .policy
                 .optimize_with_transform_using_histogram(frame, histogram, budget, scratch)?;
-            if outcome.distortion <= budget {
-                return Ok(Fitted {
-                    outcome,
-                    transform,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                });
-            }
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                // Past the deadline: a closed-loop recheck would make the
-                // frame later still. Serve the curve's fit as-is and let
-                // the caller count the degradation (and feed the drift
-                // trigger so the curve is rebuilt).
-                return Ok(Fitted {
-                    outcome,
-                    transform,
-                    open_loop_fallback: false,
-                    deadline_degraded: true,
-                });
-            }
-            // Drift: the curve under-provisioned the range for this frame.
-            // Honour the budget through the closed-loop search and let the
-            // caller feed the drift trigger. The discarded open-loop
-            // frame's buffer goes back to the scratch for the refit.
-            let open_evaluations = outcome.fit_evaluations;
-            scratch.recycle_output(outcome.displayed);
-            let (mut outcome, transform) = self
-                .policy
-                .optimize_with_transform_using_histogram(frame, histogram, budget, scratch)?;
-            outcome.fit_evaluations += open_evaluations;
-            return Ok(Fitted {
-                outcome,
-                transform,
-                open_loop_fallback: true,
-                deadline_degraded: false,
-            });
-        }
-        let (outcome, transform) = self
+            return Ok(fitted(fit, false, false));
+        };
+        let (outcome, transform) = curve
             .policy
             .optimize_with_transform_using_histogram(frame, histogram, budget, scratch)?;
-        Ok(Fitted {
-            outcome,
-            transform,
-            open_loop_fallback: false,
-            deadline_degraded: false,
-        })
+        if outcome.distortion <= budget {
+            return Ok(fitted((outcome, transform), false, false));
+        }
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            // Past the deadline: a closed-loop recheck would make the
+            // frame later still. Serve the curve's fit as-is and let the
+            // caller count the degradation (and feed the drift trigger so
+            // the curve is rebuilt).
+            return Ok(fitted((outcome, transform), false, true));
+        }
+        // Drift: the curve under-provisioned the range for this frame.
+        // Honour the budget through the closed-loop search and let the
+        // caller feed the drift trigger. The discarded open-loop frame's
+        // buffer goes back to the scratch for the refit.
+        let open_evaluations = outcome.fit_evaluations;
+        scratch.recycle_output(outcome.displayed);
+        let (mut outcome, transform) = self
+            .policy
+            .optimize_with_transform_using_histogram(frame, histogram, budget, scratch)?;
+        outcome.fit_evaluations += open_evaluations;
+        Ok(fitted((outcome, transform), true, false))
     }
 
     /// Serves one frame through the cache (when enabled) or the full policy.
     /// `scratch` is the worker's reusable frame buffer: steady-state fits
     /// write intermediate candidate images into it instead of allocating.
+    /// Every kind of serve — uncached, exact, approximate — ends in the one
+    /// `Served` built here.
     // lint: hot-path
     fn serve(
         &self,
@@ -401,7 +401,7 @@ impl EngineInner {
         // sampling). The hash is seeded with the exact cache's per-cache
         // seed; other modes never consume it, so 0 is fine.
         let seed = match self.cache.as_deref() {
-            Some(TransformCache::Exact(cache)) => cache.seed,
+            Some(TransformCache::Exact(cache)) => cache.mode.seed,
             _ => 0,
         };
         let (histogram, signature, content_hash) =
@@ -423,98 +423,89 @@ impl EngineInner {
                 (Some(state), class as u16, state.generation)
             }
         };
-        match self.cache.as_deref() {
-            None => match self.fit(frame, &histogram, budget, curve, deadline, scratch) {
-                Ok(fitted) => Served {
-                    fit_evaluations: u64::from(fitted.outcome.fit_evaluations),
-                    outcome: Ok(Arc::new(fitted.outcome)),
-                    kind: ServeKind::Uncached,
-                    rejections: 0,
-                    open_loop_fallback: fitted.open_loop_fallback,
-                    deadline_degraded: fitted.deadline_degraded,
-                    class,
-                    histogram,
-                },
-                Err(err) => Served {
-                    outcome: Err(err),
-                    kind: ServeKind::Uncached,
-                    rejections: 0,
-                    fit_evaluations: 0,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                    class,
-                    histogram,
-                },
-            },
-            Some(TransformCache::Exact(cache)) => self.serve_exact(
-                cache,
-                frame,
-                content_hash,
-                budget,
-                curve,
-                deadline,
-                class,
-                generation,
-                histogram,
-                scratch,
+        let request = Request {
+            frame,
+            histogram: &histogram,
+            content_hash,
+            budget,
+            tenant: self.tenant,
+            class,
+            generation,
+        };
+        let (kind, rejections, reply) = match self.cache.as_deref() {
+            None => (
+                ServeKind::Uncached,
+                0,
+                self.fit(&request, curve, deadline, scratch)
+                    .map(Reply::Fitted),
             ),
-            Some(TransformCache::Approximate(cache)) => self.serve_approximate(
-                cache, frame, budget, curve, deadline, class, generation, histogram, scratch,
+            Some(cache) => with_keyed!(cache, keyed => {
+                self.serve_keyed(keyed, &request, curve, deadline, scratch)
+            }),
+        };
+        let (outcome, fit_evaluations, open_loop_fallback, deadline_degraded) = match reply {
+            Ok(Reply::Replayed(outcome)) => (Ok(outcome), 0, false, false),
+            Ok(Reply::Fitted(fitted)) => (
+                Ok(fitted.outcome),
+                fitted.fit_evaluations,
+                fitted.open_loop_fallback,
+                fitted.deadline_degraded,
             ),
+            Err(err) => (Err(err), 0, false, false),
+        };
+        Served {
+            outcome,
+            kind,
+            rejections,
+            fit_evaluations,
+            open_loop_fallback,
+            deadline_degraded,
+            class,
+            histogram,
         }
     }
 
-    /// Exact mode: probe by content hash, verify the stored frame and the
-    /// cached fit's measured distortion on a hit, and run at most one fit
-    /// per key across all concurrent workers (single flight).
+    /// Serves one frame through a keyed cache: probe; check the probed
+    /// entry, rejecting one that fails (evicting only the generation
+    /// probed); join the key's single flight; re-probe; on a miss fit and
+    /// insert, unless the fit was deadline-degraded. Returns how the cache
+    /// was involved, the rejections along the way, and the reply.
     ///
-    /// The hit path performs zero full-frame allocations and zero pixel
-    /// traversals of its own: the key hash arrives precomputed from the
-    /// serve's fused ingest, verification is one memcmp, and the returned
-    /// outcome is a shared `Arc`.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_exact(
+    /// The mode `M` supplies what differs — the key's content, the hit
+    /// check, and the entry to insert — so the exact and approximate caches
+    /// share this one sequence. An exact hit performs zero full-frame
+    /// allocations and zero pixel traversals of its own and returns the
+    /// cached `Arc`; an approximate hit revalidates the cached transform
+    /// against the actual frame and the requesting budget. (A frame that is
+    /// infeasible even for a full fit keeps missing, which is correct if
+    /// not cheap.)
+    fn serve_keyed<M: KeyedMode>(
         &self,
-        cache: &ExactCache,
-        frame: &GrayImage,
-        content_hash: u128,
-        budget: f64,
+        cache: &KeyedCache<M>,
+        request: &Request<'_>,
         curve: Option<&Arc<CurveState>>,
         deadline: Option<Instant>,
-        class: u16,
-        generation: u64,
-        histogram: Histogram,
         scratch: &mut FitScratch,
-    ) -> Served {
-        let key = ExactKey::of(
-            frame,
-            content_hash,
-            budget_band(budget, cache.band_width),
-            self.tenant,
-            class,
-            generation,
-        );
+    ) -> (ServeKind, u64, std::result::Result<Reply, HebsError>) {
+        let key = cache.key(request);
         let mut rejections = 0u64;
-        let satisfies =
-            |entry: &ExactEntry| entry.matches(frame) && entry.outcome.distortion <= budget;
-        if let Some((entry, generation)) = cache.store.get(&key) {
-            if satisfies(&entry) {
-                return Served {
-                    outcome: Ok(entry.outcome),
-                    kind: ServeKind::Hit,
-                    rejections,
-                    fit_evaluations: 0,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                    class,
-                    histogram,
-                };
+        if let Some((value, generation)) = cache.store.get(&key) {
+            match cache.mode.check(value, request, &self.policy, scratch) {
+                Ok(Some(outcome)) => {
+                    return (ServeKind::Hit, rejections, Ok(Reply::Replayed(outcome)))
+                }
+                verdict => {
+                    // Hash collision, a same-band fit over this (stricter)
+                    // budget, or a failed replay: evict it so other workers
+                    // stop paying for the known-bad entry, and refit (or
+                    // serve the replay's error as a miss).
+                    cache.store.reject(&key, generation);
+                    rejections += 1;
+                    if let Err(err) = verdict {
+                        return (ServeKind::Miss, rejections, Err(err));
+                    }
+                }
             }
-            // Hash collision or a same-band fit whose measured distortion
-            // exceeds this (stricter) budget: evict it so other workers
-            // stop paying for the known-bad entry, and refit.
-            cache.store.reject(&key, generation);
-            rejections += 1;
         }
         // Single flight: the first misser leads (holding the guard for the
         // duration of its fit); concurrent missers wait. Everyone re-probes
@@ -526,239 +517,36 @@ impl EngineInner {
         // uncacheable key (e.g. an entry refused as oversized) degrades to
         // v1's concurrent fits instead of serializing them.
         let _flight = cache.flights.join(&key);
-        if let Some((entry, generation)) = cache.store.get_after_wait(&key) {
-            if satisfies(&entry) {
-                return Served {
-                    outcome: Ok(entry.outcome),
-                    kind: ServeKind::CoalescedHit,
-                    rejections,
-                    fit_evaluations: 0,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                    class,
-                    histogram,
-                };
-            }
-            cache.store.reject_after_wait(&key, generation);
-            rejections += 1;
-        }
-        let fitted = match self.fit(frame, &histogram, budget, curve, deadline, scratch) {
-            Ok(fitted) => fitted,
-            Err(err) => {
-                return Served {
-                    outcome: Err(err),
-                    kind: ServeKind::Miss,
-                    rejections,
-                    fit_evaluations: 0,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                    class,
-                    histogram,
+        if let Some((value, generation)) = cache.store.get_after_wait(&key) {
+            match cache.mode.check(value, request, &self.policy, scratch) {
+                Ok(Some(outcome)) => {
+                    return (
+                        ServeKind::CoalescedHit,
+                        rejections,
+                        Ok(Reply::Replayed(outcome)),
+                    )
+                }
+                verdict => {
+                    cache.store.reject_after_wait(&key, generation);
+                    rejections += 1;
+                    if let Err(err) = verdict {
+                        return (ServeKind::Miss, rejections, Err(err));
+                    }
                 }
             }
-        };
-        let fit_evaluations = u64::from(fitted.outcome.fit_evaluations);
-        let outcome = Arc::new(fitted.outcome);
+        }
+        let fitted = self.fit(request, curve, deadline, scratch);
         // A deadline-degraded fit is over budget for its band: caching it
         // would poison the key for every on-time request, so it serves this
         // frame only.
-        if !fitted.deadline_degraded {
-            let entry = ExactEntry::new(frame, Arc::clone(&outcome));
-            let weight = entry.weight();
-            cache.store.insert_for(self.tenant, key, entry, weight);
-        }
-        Served {
-            outcome: Ok(outcome),
-            kind: ServeKind::Miss,
-            rejections,
-            fit_evaluations,
-            open_loop_fallback: fitted.open_loop_fallback,
-            deadline_degraded: fitted.deadline_degraded,
-            class,
-            histogram,
-        }
-    }
-
-    /// Approximate mode: probe by quantized histogram signature, revalidate
-    /// the cached transform against the actual frame's distortion budget
-    /// (in the histogram domain when the measure allows — a rejected
-    /// candidate then never touches a pixel), and honour the policy's
-    /// distortion contract by only serving outcomes within the requesting
-    /// budget. Misses are single-flight like the exact mode. (A frame that
-    /// is infeasible even for a full fit keeps missing, which is correct if
-    /// not cheap.)
-    #[allow(clippy::too_many_arguments)]
-    fn serve_approximate(
-        &self,
-        cache: &ApproximateCache,
-        frame: &GrayImage,
-        budget: f64,
-        curve: Option<&Arc<CurveState>>,
-        deadline: Option<Instant>,
-        class: u16,
-        generation: u64,
-        histogram: Histogram,
-        scratch: &mut FitScratch,
-    ) -> Served {
-        let key = SignatureKey::of(
-            frame,
-            &histogram,
-            cache.resolution,
-            budget_band(budget, cache.band_width),
-            self.tenant,
-            class,
-            generation,
-        );
-        let mut rejections = 0u64;
-        // Replays a cached transform against the actual frame. `Ok(Some)` is
-        // a servable outcome; `Ok(None)` means the entry was rejected (and
-        // evicted — only while it is still the generation we looked at, so
-        // a slow recheck never throws away a fresh concurrent refit — so
-        // workers refit or coalesce onto our refit instead of repeatedly
-        // paying a wasted recheck on the known-bad transform); `Err`
-        // propagates an apply failure.
-        let check = |histogram: &Histogram,
-                     transform: Arc<FrameTransform>,
-                     generation: u64,
-                     after_wait: bool,
-                     rejections: &mut u64,
-                     scratch: &mut FitScratch|
-         -> std::result::Result<Option<ScalingOutcome>, HebsError> {
-            match self
-                .policy
-                .replay_frame_transform_with_scratch(frame, histogram, &transform, budget, scratch)
-            {
-                Ok(Some(outcome)) => Ok(Some(outcome)),
-                Ok(None) => {
-                    if after_wait {
-                        cache.store.reject_after_wait(&key, generation);
-                    } else {
-                        cache.store.reject(&key, generation);
-                    }
-                    *rejections += 1;
-                    Ok(None)
-                }
-                Err(err) => {
-                    if after_wait {
-                        cache.store.reject_after_wait(&key, generation);
-                    } else {
-                        cache.store.reject(&key, generation);
-                    }
-                    *rejections += 1;
-                    Err(err)
-                }
-            }
-        };
-        if let Some((transform, generation)) = cache.store.get(&key) {
-            match check(
-                &histogram,
-                transform,
-                generation,
-                false,
-                &mut rejections,
-                scratch,
-            ) {
-                Ok(Some(outcome)) => {
-                    return Served {
-                        outcome: Ok(Arc::new(outcome)),
-                        kind: ServeKind::Hit,
-                        rejections,
-                        fit_evaluations: 0,
-                        open_loop_fallback: false,
-                        deadline_degraded: false,
-                        class,
-                        histogram,
-                    }
-                }
-                Ok(None) => {}
-                Err(err) => {
-                    return Served {
-                        outcome: Err(err),
-                        kind: ServeKind::Miss,
-                        rejections,
-                        fit_evaluations: 0,
-                        open_loop_fallback: false,
-                        deadline_degraded: false,
-                        class,
-                        histogram,
-                    }
-                }
+        if let Ok(fitted) = &fitted {
+            if !fitted.deadline_degraded {
+                let value = M::entry(request.frame, &fitted.outcome, &fitted.transform);
+                let weight = M::weight(&value);
+                cache.store.insert_for(request.tenant, key, value, weight);
             }
         }
-        // Single flight, exactly as the exact mode: lead or wait, re-probe,
-        // and fall through to a parallel fit when the re-probe cannot serve
-        // this frame's budget.
-        let _flight = cache.flights.join(&key);
-        if let Some((transform, generation)) = cache.store.get_after_wait(&key) {
-            match check(
-                &histogram,
-                transform,
-                generation,
-                true,
-                &mut rejections,
-                scratch,
-            ) {
-                Ok(Some(outcome)) => {
-                    return Served {
-                        outcome: Ok(Arc::new(outcome)),
-                        kind: ServeKind::CoalescedHit,
-                        rejections,
-                        fit_evaluations: 0,
-                        open_loop_fallback: false,
-                        deadline_degraded: false,
-                        class,
-                        histogram,
-                    }
-                }
-                Ok(None) => {}
-                Err(err) => {
-                    return Served {
-                        outcome: Err(err),
-                        kind: ServeKind::Miss,
-                        rejections,
-                        fit_evaluations: 0,
-                        open_loop_fallback: false,
-                        deadline_degraded: false,
-                        class,
-                        histogram,
-                    }
-                }
-            }
-        }
-        let fitted = match self.fit(frame, &histogram, budget, curve, deadline, scratch) {
-            Ok(fitted) => fitted,
-            Err(err) => {
-                return Served {
-                    outcome: Err(err),
-                    kind: ServeKind::Miss,
-                    rejections,
-                    fit_evaluations: 0,
-                    open_loop_fallback: false,
-                    deadline_degraded: false,
-                    class,
-                    histogram,
-                }
-            }
-        };
-        let fit_evaluations = u64::from(fitted.outcome.fit_evaluations);
-        // As in the exact mode, a deadline-degraded transform is over
-        // budget for its band and must not be cached.
-        if !fitted.deadline_degraded {
-            let weight = transform_bytes(&fitted.transform);
-            cache
-                .store
-                .insert_for(self.tenant, key, fitted.transform, weight);
-        }
-        Served {
-            outcome: Ok(Arc::new(fitted.outcome)),
-            kind: ServeKind::Miss,
-            rejections,
-            fit_evaluations,
-            open_loop_fallback: fitted.open_loop_fallback,
-            deadline_degraded: fitted.deadline_degraded,
-            class,
-            histogram,
-        }
+        (ServeKind::Miss, rejections, fitted.map(Reply::Fitted))
     }
 
     /// Serves one frame and records its latency in the cumulative stats.
@@ -1383,70 +1171,13 @@ impl Engine {
     /// class generation (stale-generation fits would never be probed and
     /// are not worth carrying).
     fn spill_cache(&self, top_k: usize, bank: &CurveBank) -> Option<CacheRecord> {
-        let cache = self.inner.cache.as_deref()?;
-        let tenant = self.inner.tenant;
         let live = |class: u16, generation: u64| {
             bank.classes
                 .get(usize::from(class))
                 .is_some_and(|state| state.generation == generation)
         };
-        match cache {
-            TransformCache::Exact(cache) => {
-                let entries = cache
-                    .store
-                    .recent_entries(top_k)
-                    .into_iter()
-                    .filter(|(key, _)| {
-                        key.tenant() == tenant && live(key.class(), key.generation())
-                    })
-                    .map(|(key, entry)| ExactSpillRecord {
-                        width: key.width(),
-                        height: key.height(),
-                        budget_band: key.budget_band(),
-                        class: key.class(),
-                        pixels: entry.pixels().to_vec(),
-                        outcome: outcome_record(&entry.outcome),
-                    })
-                    .collect();
-                Some(CacheRecord::Exact {
-                    band_width: cache.band_width,
-                    entries,
-                })
-            }
-            TransformCache::Approximate(cache) => {
-                let entries = cache
-                    .store
-                    .recent_entries(top_k)
-                    .into_iter()
-                    .filter(|(key, _)| {
-                        key.tenant() == tenant && live(key.class(), key.generation())
-                    })
-                    .map(|(key, transform)| ApproxSpillRecord {
-                        width: key.width(),
-                        height: key.height(),
-                        budget_band: key.budget_band(),
-                        class: key.class(),
-                        signature: *key.signature().bins(),
-                        target_min: transform.target.g_min(),
-                        target_max: transform.target.g_max(),
-                        beta: transform.beta,
-                        blend_weight: transform.blend_weight,
-                        points: transform
-                            .curve
-                            .points()
-                            .iter()
-                            .map(|p| (p.x, p.y))
-                            .collect(),
-                        lut: *transform.lut.entries(),
-                    })
-                    .collect();
-                Some(CacheRecord::Approximate {
-                    band_width: cache.band_width,
-                    resolution: cache.resolution,
-                    entries,
-                })
-            }
-        }
+        let cache = self.inner.cache.as_deref()?;
+        Some(with_keyed!(cache, keyed => keyed.spill(top_k, self.inner.tenant, live)))
     }
 
     /// Restores warm-start state saved by [`Engine::snapshot_to_writer`]:
@@ -1561,98 +1292,18 @@ impl Engine {
     /// band-width mismatch with this engine's cache skips entries rather
     /// than failing the restore.
     fn restore_cache(&self, record: CacheRecord, bank: &CurveBank) -> (usize, usize) {
-        let tenant = self.inner.tenant;
-        match (self.inner.cache.as_deref(), record) {
-            (
-                Some(TransformCache::Exact(cache)),
-                CacheRecord::Exact {
-                    band_width,
-                    entries,
-                },
-            ) => {
-                if band_width.to_bits() != cache.band_width.to_bits() {
-                    return (0, entries.len());
-                }
-                let mut restored = 0;
-                let mut skipped = 0;
-                for entry in entries {
-                    let Some(class) = bank.classes.get(usize::from(entry.class)) else {
-                        skipped += 1;
-                        continue;
-                    };
-                    let Ok(frame) = GrayImage::from_raw(entry.width, entry.height, entry.pixels)
-                    else {
-                        skipped += 1;
-                        continue;
-                    };
-                    let Some(outcome) = rebuild_outcome(entry.outcome) else {
-                        skipped += 1;
-                        continue;
-                    };
-                    // Stored content hashes are not portable (the hash seed
-                    // is random per cache instance); recompute under ours.
-                    let key = ExactKey::of(
-                        &frame,
-                        frame_hash128(&frame, cache.seed),
-                        entry.budget_band,
-                        tenant,
-                        entry.class,
-                        class.generation,
-                    );
-                    let value = ExactEntry::new(&frame, Arc::new(outcome));
-                    let weight = value.weight();
-                    cache.store.insert_for(tenant, key, value, weight);
-                    restored += 1;
-                }
-                (restored, skipped)
-            }
-            (
-                Some(TransformCache::Approximate(cache)),
-                CacheRecord::Approximate {
-                    band_width,
-                    resolution,
-                    entries,
-                },
-            ) => {
-                if band_width.to_bits() != cache.band_width.to_bits()
-                    || resolution != cache.resolution
-                {
-                    return (0, entries.len());
-                }
-                let mut restored = 0;
-                let mut skipped = 0;
-                for entry in entries {
-                    let Some(class) = bank.classes.get(usize::from(entry.class)) else {
-                        skipped += 1;
-                        continue;
-                    };
-                    let Some(transform) = rebuild_transform(self.inner.policy.config(), &entry)
-                    else {
-                        skipped += 1;
-                        continue;
-                    };
-                    let key = SignatureKey::from_parts(
-                        entry.width,
-                        entry.height,
-                        HistogramSignature::from_bins(entry.signature),
-                        entry.budget_band,
-                        tenant,
-                        entry.class,
-                        class.generation,
-                    );
-                    let weight = transform_bytes(&transform);
-                    cache
-                        .store
-                        .insert_for(tenant, key, Arc::new(transform), weight);
-                    restored += 1;
-                }
-                (restored, skipped)
-            }
-            // No cache, or the snapshot's mode differs from ours: the bank
-            // alone still warm-starts serving; the spill is simply dropped.
-            (_, CacheRecord::Exact { entries, .. }) => (0, entries.len()),
-            (_, CacheRecord::Approximate { entries, .. }) => (0, entries.len()),
-        }
+        let Some(cache) = self.inner.cache.as_deref() else {
+            // No cache: the bank alone still warm-starts serving; the
+            // spill is simply dropped.
+            return (0, record.entries.len());
+        };
+        let generation = |class: u16| {
+            bank.classes
+                .get(usize::from(class))
+                .map(|state| state.generation)
+        };
+        let config = self.inner.policy.config();
+        with_keyed!(cache, keyed => keyed.restore(record, self.inner.tenant, generation, config))
     }
 
     /// Serves a single frame synchronously on the calling thread.
@@ -1847,73 +1498,6 @@ impl Engine {
             stream_pipeline(&self.inner, frames.into_iter(), |task| scope.spawn(task));
         ScopedFrameStream { core, handles }
     }
-}
-
-/// Flattens a cached outcome into its serializable snapshot record.
-fn outcome_record(outcome: &ScalingOutcome) -> OutcomeRecord {
-    OutcomeRecord {
-        policy: outcome.policy.clone(),
-        beta: outcome.beta,
-        dynamic_range: outcome.dynamic_range,
-        distortion: outcome.distortion,
-        power: [
-            outcome.power.ccfl,
-            outcome.power.panel,
-            outcome.power.controller,
-            outcome.power.beta,
-        ],
-        power_saving: outcome.power_saving,
-        lut: *outcome.lut.entries(),
-        displayed_width: outcome.displayed.width(),
-        displayed_height: outcome.displayed.height(),
-        displayed: outcome.displayed.as_raw().to_vec(),
-        fit_evaluations: outcome.fit_evaluations,
-    }
-}
-
-/// Rebuilds a [`ScalingOutcome`] from its spilled record; `None` when the
-/// record's displayed frame is inconsistent (the entry is then skipped).
-fn rebuild_outcome(record: OutcomeRecord) -> Option<ScalingOutcome> {
-    let displayed = GrayImage::from_raw(
-        record.displayed_width,
-        record.displayed_height,
-        record.displayed,
-    )
-    .ok()?;
-    Some(ScalingOutcome {
-        policy: record.policy,
-        beta: record.beta,
-        dynamic_range: record.dynamic_range,
-        distortion: record.distortion,
-        power: PowerBreakdown {
-            ccfl: record.power[0],
-            panel: record.power[1],
-            controller: record.power[2],
-            beta: record.power[3],
-        },
-        power_saving: record.power_saving,
-        lut: LookupTable::from_entries(record.lut),
-        displayed,
-        fit_evaluations: record.fit_evaluations,
-    })
-}
-
-/// Rebuilds a [`FrameTransform`] from its spilled parts, recomposing the
-/// fused display response through the pipeline's subsystem model; `None`
-/// when any part is rejected by its validated constructor.
-fn rebuild_transform(
-    config: &hebs_core::PipelineConfig,
-    record: &ApproxSpillRecord,
-) -> Option<FrameTransform> {
-    let target = TargetRange::new(record.target_min, record.target_max).ok()?;
-    let points = record
-        .points
-        .iter()
-        .map(|&(x, y)| ControlPoint::new(x, y))
-        .collect();
-    let curve = PiecewiseLinear::new(points).ok()?;
-    let lut = LookupTable::from_entries(record.lut);
-    FrameTransform::from_parts(config, target, record.beta, record.blend_weight, curve, lut).ok()
 }
 
 /// Validates a cache configuration, shared between [`Engine::new`] and the
@@ -3152,25 +2736,36 @@ mod tests {
             assert_eq!(narrow.stats().snapshot_rejected, 1);
         }
 
-        #[test]
-        fn spilled_exact_entries_replay_as_hits_after_restore() {
-            let canary = open_loop_engine(2, Some(CacheConfig::exact()));
+        /// A spilled entry of either mode, restored into a fleet engine,
+        /// serves the same frame as a hit with zero fit work.
+        fn spilled_entries_replay_as_hits_after_restore(cache: CacheConfig) {
+            let canary = open_loop_engine(2, Some(cache.clone()));
             canary.install_bank(two_class_bank()).unwrap();
             let frame = synthetic::portrait(32, 32, 5);
             canary.process_frame(&frame).unwrap();
             let bytes = snapshot_bytes(&canary);
 
-            let fleet = open_loop_engine(2, Some(CacheConfig::exact()));
+            let fleet = open_loop_engine(2, Some(cache));
             let report = fleet.restore_from_reader(&mut &bytes[..]).unwrap();
             assert_eq!(report.cache_restored, 1);
             assert_eq!(report.cache_skipped, 0);
 
             // The spilled entry was re-keyed under the fleet engine's own
-            // hash seed and generations: the same frame replays bit-exact
-            // with zero fit work.
+            // hash seed and generations: the same frame replays with zero
+            // fit work.
             let replay = fleet.process_frame(&frame).unwrap();
             assert!(replay.cache_hit, "restored entry must serve as a hit");
             assert_eq!(fleet.stats().fit_evaluations, 0);
+        }
+
+        #[test]
+        fn spilled_exact_entries_replay_as_hits_after_restore() {
+            spilled_entries_replay_as_hits_after_restore(CacheConfig::exact());
+        }
+
+        #[test]
+        fn spilled_approximate_entries_replay_as_hits_after_restore() {
+            spilled_entries_replay_as_hits_after_restore(CacheConfig::approximate());
         }
 
         #[test]

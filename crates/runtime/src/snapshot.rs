@@ -202,14 +202,21 @@ pub(crate) struct BankRecord {
     pub(crate) classes: Vec<ClassRecord>,
 }
 
-/// A spilled exact-mode cache entry: the stored frame plus the full
-/// outcome it replays.
+/// A spilled cache entry: the key parts both modes share plus the mode's
+/// `body` (the stored frame and outcome, or the signature and transform).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ExactSpillRecord {
+pub(crate) struct SpillRecord<B> {
     pub(crate) width: u32,
     pub(crate) height: u32,
     pub(crate) budget_band: u32,
     pub(crate) class: u16,
+    pub(crate) body: B,
+}
+
+/// The body of a spilled exact-mode entry: the stored frame plus the full
+/// outcome it replays.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ExactSpill {
     pub(crate) pixels: Vec<u8>,
     pub(crate) outcome: OutcomeRecord,
 }
@@ -231,14 +238,11 @@ pub(crate) struct OutcomeRecord {
     pub(crate) fit_evaluations: u32,
 }
 
-/// A spilled approximate-mode cache entry: the signature key parts plus
-/// the fitted transform (its display response is recomposed on restore).
+/// The body of a spilled approximate-mode entry: the signature key part
+/// plus the fitted transform (its display response is recomposed on
+/// restore).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ApproxSpillRecord {
-    pub(crate) width: u32,
-    pub(crate) height: u32,
-    pub(crate) budget_band: u32,
-    pub(crate) class: u16,
+pub(crate) struct ApproxSpill {
     pub(crate) signature: [u8; SIGNATURE_BINS],
     pub(crate) target_min: u8,
     pub(crate) target_max: u8,
@@ -248,21 +252,33 @@ pub(crate) struct ApproxSpillRecord {
     pub(crate) lut: [u8; 256],
 }
 
-/// The spilled hot-cache section, in the keying mode of the source cache.
+/// The spilled hot-cache section.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CacheRecord {
-    Exact {
-        /// Budget-band width the spilled bands were quantized with.
-        band_width: f64,
-        entries: Vec<ExactSpillRecord>,
-    },
+pub(crate) struct CacheRecord {
+    /// Budget-band width the spilled bands were quantized with.
+    pub(crate) band_width: f64,
+    pub(crate) entries: SpilledEntries,
+}
+
+/// Spilled entries, in the keying mode of the source cache.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum SpilledEntries {
+    Exact(Vec<SpillRecord<ExactSpill>>),
     Approximate {
-        /// Budget-band width the spilled bands were quantized with.
-        band_width: f64,
         /// Signature quantization resolution of the spilled keys.
         resolution: u8,
-        entries: Vec<ApproxSpillRecord>,
+        entries: Vec<SpillRecord<ApproxSpill>>,
     },
+}
+
+impl SpilledEntries {
+    /// Number of spilled entries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            SpilledEntries::Exact(entries) => entries.len(),
+            SpilledEntries::Approximate { entries, .. } => entries.len(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,109 +615,77 @@ fn decode_outcome(r: &mut ByteReader<'_>) -> Result<OutcomeRecord, SnapshotError
 }
 
 fn encode_cache(w: &mut ByteWriter, cache: &CacheRecord) {
-    match cache {
-        CacheRecord::Exact {
-            band_width,
-            entries,
-        } => {
+    match &cache.entries {
+        SpilledEntries::Exact(entries) => {
             w.u8(0);
-            w.f64(*band_width);
-            w.u32(entries.len() as u32);
-            for entry in entries {
-                w.u32(entry.width);
-                w.u32(entry.height);
-                w.u32(entry.budget_band);
-                w.u16(entry.class);
-                w.bytes(&entry.pixels);
-                encode_outcome(w, &entry.outcome);
-            }
+            w.f64(cache.band_width);
+            encode_spills(w, entries, |w, body| {
+                w.bytes(&body.pixels);
+                encode_outcome(w, &body.outcome);
+            });
         }
-        CacheRecord::Approximate {
-            band_width,
+        SpilledEntries::Approximate {
             resolution,
             entries,
         } => {
             w.u8(1);
-            w.f64(*band_width);
+            w.f64(cache.band_width);
             w.u8(*resolution);
-            w.u32(entries.len() as u32);
-            for entry in entries {
-                w.u32(entry.width);
-                w.u32(entry.height);
-                w.u32(entry.budget_band);
-                w.u16(entry.class);
-                w.raw(&entry.signature);
-                w.u8(entry.target_min);
-                w.u8(entry.target_max);
-                w.f64(entry.beta);
-                w.f64(entry.blend_weight);
-                w.u32(entry.points.len() as u32);
-                for &(x, y) in &entry.points {
+            encode_spills(w, entries, |w, body| {
+                w.raw(&body.signature);
+                w.u8(body.target_min);
+                w.u8(body.target_max);
+                w.f64(body.beta);
+                w.f64(body.blend_weight);
+                w.u32(body.points.len() as u32);
+                for &(x, y) in &body.points {
                     w.f64(x);
                     w.f64(y);
                 }
-                w.raw(&entry.lut);
-            }
+                w.raw(&body.lut);
+            });
         }
+    }
+}
+
+/// Writes the entry count, then each entry's shared key parts followed by
+/// its mode-specific body.
+fn encode_spills<B>(
+    w: &mut ByteWriter,
+    entries: &[SpillRecord<B>],
+    body: impl Fn(&mut ByteWriter, &B),
+) {
+    w.u32(entries.len() as u32);
+    for entry in entries {
+        w.u32(entry.width);
+        w.u32(entry.height);
+        w.u32(entry.budget_band);
+        w.u16(entry.class);
+        body(w, &entry.body);
     }
 }
 
 fn decode_cache(r: &mut ByteReader<'_>) -> Result<CacheRecord, SnapshotError> {
     let mode = r.u8("cache mode")?;
     let band_width = r.f64("cache band width")?;
-    match mode {
-        0 => {
-            let count = r.u32("cache entry count")? as usize;
-            if count > MAX_SPILL_ENTRIES {
+    let entries = match mode {
+        0 => SpilledEntries::Exact(decode_spills(r, |r, width, height| {
+            let expected = width as usize * height as usize;
+            let pixels = r.bytes(expected.max(1), "spill pixels")?;
+            if pixels.len() != expected {
                 return Err(SnapshotError::Malformed {
-                    context: "cache entry count",
-                    reason: format!("{count} exceeds bound {MAX_SPILL_ENTRIES}"),
+                    context: "spill pixels",
+                    reason: format!("{} bytes for a {width}×{height} frame", pixels.len()),
                 });
             }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let width = r.u32("spill width")?;
-                let height = r.u32("spill height")?;
-                let budget_band = r.u32("spill band")?;
-                let class = r.u16("spill class")?;
-                let expected = width as usize * height as usize;
-                let pixels = r.bytes(expected.max(1), "spill pixels")?;
-                if pixels.len() != expected {
-                    return Err(SnapshotError::Malformed {
-                        context: "spill pixels",
-                        reason: format!("{} bytes for a {width}×{height} frame", pixels.len()),
-                    });
-                }
-                let outcome = decode_outcome(r)?;
-                entries.push(ExactSpillRecord {
-                    width,
-                    height,
-                    budget_band,
-                    class,
-                    pixels: pixels.to_vec(),
-                    outcome,
-                });
-            }
-            Ok(CacheRecord::Exact {
-                band_width,
-                entries,
+            Ok(ExactSpill {
+                pixels: pixels.to_vec(),
+                outcome: decode_outcome(r)?,
             })
-        }
+        })?),
         1 => {
             let resolution = r.u8("cache resolution")?;
-            let count = r.u32("cache entry count")? as usize;
-            if count > MAX_SPILL_ENTRIES {
-                return Err(SnapshotError::Malformed {
-                    context: "cache entry count",
-                    reason: format!("{count} exceeds bound {MAX_SPILL_ENTRIES}"),
-                });
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let width = r.u32("spill width")?;
-                let height = r.u32("spill height")?;
-                let budget_band = r.u32("spill band")?;
-                let class = r.u16("spill class")?;
+            let entries = decode_spills(r, |r, _, _| {
                 let mut signature = [0u8; SIGNATURE_BINS];
                 signature.copy_from_slice(r.take(SIGNATURE_BINS, "spill signature")?);
                 let target_min = r.u8("spill target min")?;
@@ -723,11 +707,7 @@ fn decode_cache(r: &mut ByteReader<'_>) -> Result<CacheRecord, SnapshotError> {
                 }
                 let mut lut = [0u8; 256];
                 lut.copy_from_slice(r.take(256, "spill lut")?);
-                entries.push(ApproxSpillRecord {
-                    width,
-                    height,
-                    budget_band,
-                    class,
+                Ok(ApproxSpill {
                     signature,
                     target_min,
                     target_max,
@@ -735,19 +715,54 @@ fn decode_cache(r: &mut ByteReader<'_>) -> Result<CacheRecord, SnapshotError> {
                     blend_weight,
                     points,
                     lut,
-                });
-            }
-            Ok(CacheRecord::Approximate {
-                band_width,
+                })
+            })?;
+            SpilledEntries::Approximate {
                 resolution,
                 entries,
+            }
+        }
+        other => {
+            return Err(SnapshotError::Malformed {
+                context: "cache mode",
+                reason: format!("unknown mode tag {other}"),
             })
         }
-        other => Err(SnapshotError::Malformed {
-            context: "cache mode",
-            reason: format!("unknown mode tag {other}"),
-        }),
+    };
+    Ok(CacheRecord {
+        band_width,
+        entries,
+    })
+}
+
+/// Reads a bounded entry count, then each entry's shared key parts
+/// followed by its body (`body` gets the entry's frame width and height).
+fn decode_spills<'a, B>(
+    r: &mut ByteReader<'a>,
+    mut body: impl FnMut(&mut ByteReader<'a>, u32, u32) -> Result<B, SnapshotError>,
+) -> Result<Vec<SpillRecord<B>>, SnapshotError> {
+    let count = r.u32("cache entry count")? as usize;
+    if count > MAX_SPILL_ENTRIES {
+        return Err(SnapshotError::Malformed {
+            context: "cache entry count",
+            reason: format!("{count} exceeds bound {MAX_SPILL_ENTRIES}"),
+        });
     }
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let width = r.u32("spill width")?;
+        let height = r.u32("spill height")?;
+        let budget_band = r.u32("spill band")?;
+        let class = r.u16("spill class")?;
+        entries.push(SpillRecord {
+            width,
+            height,
+            budget_band,
+            class,
+            body: body(r, width, height)?,
+        });
+    }
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -888,22 +903,26 @@ mod tests {
     }
 
     fn cache_record() -> CacheRecord {
-        CacheRecord::Approximate {
+        CacheRecord {
             band_width: 0.01,
-            resolution: 16,
-            entries: vec![ApproxSpillRecord {
-                width: 8,
-                height: 8,
-                budget_band: 10,
-                class: 0,
-                signature: [3; SIGNATURE_BINS],
-                target_min: 0,
-                target_max: 127,
-                beta: 0.5,
-                blend_weight: 1.0,
-                points: vec![(0.0, 0.0), (1.0, 0.5)],
-                lut: [7; 256],
-            }],
+            entries: SpilledEntries::Approximate {
+                resolution: 16,
+                entries: vec![SpillRecord {
+                    width: 8,
+                    height: 8,
+                    budget_band: 10,
+                    class: 0,
+                    body: ApproxSpill {
+                        signature: [3; SIGNATURE_BINS],
+                        target_min: 0,
+                        target_max: 127,
+                        beta: 0.5,
+                        blend_weight: 1.0,
+                        points: vec![(0.0, 0.0), (1.0, 0.5)],
+                        lut: [7; 256],
+                    },
+                }],
+            },
         }
     }
 
@@ -924,28 +943,30 @@ mod tests {
 
     #[test]
     fn exact_cache_round_trips() {
-        let cache = CacheRecord::Exact {
+        let cache = CacheRecord {
             band_width: 0.01,
-            entries: vec![ExactSpillRecord {
+            entries: SpilledEntries::Exact(vec![SpillRecord {
                 width: 4,
                 height: 2,
                 budget_band: 9,
                 class: 1,
-                pixels: vec![1, 2, 3, 4, 5, 6, 7, 8],
-                outcome: OutcomeRecord {
-                    policy: "hebs".to_string(),
-                    beta: 0.6,
-                    dynamic_range: Some(128),
-                    distortion: 0.05,
-                    power: [1.0, 2.0, 0.5, 0.6],
-                    power_saving: 0.3,
-                    lut: [9; 256],
-                    displayed_width: 4,
-                    displayed_height: 2,
-                    displayed: vec![0; 8],
-                    fit_evaluations: 1,
+                body: ExactSpill {
+                    pixels: vec![1, 2, 3, 4, 5, 6, 7, 8],
+                    outcome: OutcomeRecord {
+                        policy: "hebs".to_string(),
+                        beta: 0.6,
+                        dynamic_range: Some(128),
+                        distortion: 0.05,
+                        power: [1.0, 2.0, 0.5, 0.6],
+                        power_saving: 0.3,
+                        lut: [9; 256],
+                        displayed_width: 4,
+                        displayed_height: 2,
+                        displayed: vec![0; 8],
+                        fit_evaluations: 1,
+                    },
                 },
-            }],
+            }]),
         };
         let bytes = encode(&bank_record(1), Some(&cache), 3);
         let (_, decoded) = decode(&bytes).unwrap();

@@ -7,14 +7,17 @@
 //! deterministic perturbation of the thread interleaving through those
 //! points, so one test binary exercises many distinct schedules of the
 //! same scenario instead of whatever the scheduler happens to produce.
-//! In release builds (without the `lockdep`/debug-assertions points) the
-//! scenarios still run once each, unperturbed.
+//! `replay_seeds` installs every seed itself, so a plain `cargo test` runs
+//! each scenario under all of them; in release builds (without the
+//! `lockdep`/debug-assertions points) the scenarios still run once each,
+//! unperturbed.
 
 use hebs::imaging::{GrayImage, SipiSuite};
 use hebs::runtime::analysis::interleave;
 use hebs::runtime::{
     CacheConfig, Engine, EngineConfig, RuntimeError, ServeOptions, TenantRegistry, TenantSpec,
 };
+use std::sync::{Mutex, PoisonError};
 
 /// The seeded schedules every scenario is replayed under.
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
@@ -63,10 +66,19 @@ fn suite_frame(size: u32) -> GrayImage {
         .unwrap()
 }
 
-/// Runs `scenario` once per seed (or once with no perturbation when the
-/// interleaving points are compiled out), labelling failures with the seed
-/// that produced them so a failing schedule can be replayed exactly.
+/// Serializes the replaying tests: the schedule seed and its visit counter
+/// are process-wide, so one test's `set_seed(None)` (or its own seed) would
+/// otherwise cut into another test's schedule running in parallel.
+static REPLAY: Mutex<()> = Mutex::new(());
+
+/// Runs `scenario` once per seed, installing each seed itself, and
+/// labels failures with the seed that produced them so a failing schedule
+/// can be replayed exactly. When the interleaving points are compiled out
+/// (an optimized build without `lockdep`), installing a seed leaves
+/// `is_enabled()` false and the scenario runs once, unperturbed.
 fn replay_seeds(scenario: impl Fn(u64)) {
+    let _replay = REPLAY.lock().unwrap_or_else(PoisonError::into_inner);
+    interleave::set_seed(Some(SEEDS[0]));
     if !interleave::is_enabled() {
         scenario(0);
         return;
@@ -79,52 +91,61 @@ fn replay_seeds(scenario: impl Fn(u64)) {
 }
 
 /// The single-flight storm invariant (one fit per concurrent miss storm,
-/// counters reconciled) must hold under every seeded schedule: the seeds
-/// shuffle who reaches `flight.join` first, who wakes between the leader's
-/// insert and its `flight.release` notify, and when the waiters re-probe.
+/// counters reconciled) must hold under every seeded schedule and for both
+/// cache modes, which share one keyed serve flow: the seeds shuffle who
+/// reaches `flight.join` first, who wakes between the leader's insert and
+/// its `flight.release` notify, and when the waiters re-probe.
 #[test]
 fn single_flight_storm_holds_under_seeded_schedules() {
-    replay_seeds(|seed| {
-        let engine = Engine::new(
-            policy(),
-            EngineConfig {
-                workers: 1,
-                cache: Some(CacheConfig::exact()),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let frame = suite_frame(48);
-        let storm = 6u64;
-        let barrier = std::sync::Barrier::new(storm as usize);
-        std::thread::scope(|scope| {
-            for _ in 0..storm {
-                let engine = engine.clone();
-                let frame = &frame;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    engine.process_frame(frame).unwrap();
-                });
-            }
-        });
-        let stats = engine.stats();
-        assert_eq!(stats.frames, storm, "seed {seed}");
-        assert_eq!(
-            stats.cache_misses, 1,
-            "seed {seed}: exactly one fit must run"
-        );
-        assert_eq!(stats.cache_hits, storm - 1, "seed {seed}");
-        assert!(stats.cache_coalesced < storm, "seed {seed}");
-        let counters = engine.cache_counters().unwrap();
-        assert_eq!(counters.hits, stats.cache_hits, "seed {seed}");
-        assert_eq!(counters.misses, stats.cache_misses, "seed {seed}");
-        assert_eq!(counters.coalesced, stats.cache_coalesced, "seed {seed}");
-        assert_eq!(
-            stats.poison_recoveries, 0,
-            "seed {seed}: no lock was poisoned"
-        );
+    for cache in [CacheConfig::exact(), CacheConfig::approximate()] {
+        replay_seeds(|seed| single_flight_storm(seed, cache.clone()));
+    }
+}
+
+fn single_flight_storm(seed: u64, cache: CacheConfig) {
+    let mode = cache.mode;
+    let engine = Engine::new(
+        policy(),
+        EngineConfig {
+            workers: 1,
+            cache: Some(cache),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let frame = suite_frame(48);
+    let storm = 6u64;
+    let barrier = std::sync::Barrier::new(storm as usize);
+    std::thread::scope(|scope| {
+        for _ in 0..storm {
+            let engine = engine.clone();
+            let frame = &frame;
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                engine.process_frame(frame).unwrap();
+            });
+        }
     });
+    let stats = engine.stats();
+    assert_eq!(stats.frames, storm, "{mode:?} seed {seed}");
+    assert_eq!(
+        stats.cache_misses, 1,
+        "{mode:?} seed {seed}: exactly one fit must run"
+    );
+    assert_eq!(stats.cache_hits, storm - 1, "{mode:?} seed {seed}");
+    assert!(stats.cache_coalesced < storm, "{mode:?} seed {seed}");
+    let counters = engine.cache_counters().unwrap();
+    assert_eq!(counters.hits, stats.cache_hits, "{mode:?} seed {seed}");
+    assert_eq!(counters.misses, stats.cache_misses, "{mode:?} seed {seed}");
+    assert_eq!(
+        counters.coalesced, stats.cache_coalesced,
+        "{mode:?} seed {seed}"
+    );
+    assert_eq!(
+        stats.poison_recoveries, 0,
+        "{mode:?} seed {seed}: no lock was poisoned"
+    );
 }
 
 /// Admission-control accounting (sheds never count as frames, released

@@ -224,49 +224,53 @@ fn approximate_cache_reuses_fits_on_noisy_video() {
 
 /// A barrier-synchronized miss storm on one key runs exactly one fit: the
 /// other workers wait on the single-flight marker and are served the
-/// leader's result as coalesced hits.
+/// leader's result as coalesced hits. Both cache modes share the one
+/// keyed serve flow, and both are pinned.
 #[test]
 fn single_flight_collapses_a_concurrent_miss_storm_into_one_fit() {
-    let engine = Engine::new(
-        policy(),
-        EngineConfig {
-            workers: 1,
-            cache: Some(CacheConfig::exact()),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let frame: GrayImage = SipiSuite::with_size(48)
-        .iter()
-        .next()
-        .map(|(_, img)| img.clone())
+    for cache in [CacheConfig::exact(), CacheConfig::approximate()] {
+        let mode = cache.mode;
+        let engine = Engine::new(
+            policy(),
+            EngineConfig {
+                workers: 1,
+                cache: Some(cache),
+                ..EngineConfig::default()
+            },
+        )
         .unwrap();
-    let storm = 6u64;
-    let barrier = std::sync::Barrier::new(storm as usize);
-    std::thread::scope(|scope| {
-        for _ in 0..storm {
-            let engine = engine.clone();
-            let frame = &frame;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                barrier.wait();
-                engine.process_frame(frame).unwrap();
-            });
-        }
-    });
-    let stats = engine.stats();
-    assert_eq!(stats.frames, storm);
-    assert_eq!(stats.cache_misses, 1, "exactly one fit must run");
-    assert_eq!(stats.cache_hits, storm - 1);
-    // How many of those hits count as *coalesced* (first probe beat the
-    // leader's insert) vs plain (probed after it landed) is scheduler-
-    // dependent, so only the accounting invariant is asserted:
-    assert!(stats.cache_coalesced < storm);
-    // The store's own counters agree with the engine's on this path too.
-    let counters = engine.cache_counters().unwrap();
-    assert_eq!(counters.hits, stats.cache_hits);
-    assert_eq!(counters.misses, stats.cache_misses);
-    assert_eq!(counters.coalesced, stats.cache_coalesced);
+        let frame: GrayImage = SipiSuite::with_size(48)
+            .iter()
+            .next()
+            .map(|(_, img)| img.clone())
+            .unwrap();
+        let storm = 6u64;
+        let barrier = std::sync::Barrier::new(storm as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..storm {
+                let engine = engine.clone();
+                let frame = &frame;
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.process_frame(frame).unwrap();
+                });
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!(stats.frames, storm, "{mode:?}");
+        assert_eq!(stats.cache_misses, 1, "{mode:?}: exactly one fit must run");
+        assert_eq!(stats.cache_hits, storm - 1, "{mode:?}");
+        // How many of those hits count as *coalesced* (first probe beat the
+        // leader's insert) vs plain (probed after it landed) is scheduler-
+        // dependent, so only the accounting invariant is asserted:
+        assert!(stats.cache_coalesced < storm, "{mode:?}");
+        // The store's own counters agree with the engine's on this path too.
+        let counters = engine.cache_counters().unwrap();
+        assert_eq!(counters.hits, stats.cache_hits, "{mode:?}");
+        assert_eq!(counters.misses, stats.cache_misses, "{mode:?}");
+        assert_eq!(counters.coalesced, stats.cache_coalesced, "{mode:?}");
+    }
 }
 
 /// The exact cache respects a configurable byte budget: resident bytes
